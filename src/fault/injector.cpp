@@ -28,64 +28,36 @@ bool FaultInjector::draw_corruption(double ber, std::uint64_t wire_bytes) {
   return rng_.uniform_real() < p;
 }
 
-void FaultInjector::set_link_state(net::Fabric& fabric, const LinkRef& link,
-                                   bool up) {
-  if (link.kind == LinkRef::Kind::node) {
-    fabric.set_node_link_state(link.node, up);
-  } else {
-    fabric.set_switch_link_state(link.a, link.b, up);
-  }
-}
-
 void FaultInjector::install(net::Fabric& fabric) {
-  const net::FatTreeTopology& topo = fabric.topology();
-  const auto validate = [&](const LinkRef& link) {
-    if (link.kind == LinkRef::Kind::node) {
-      if (link.node < 0 || link.node >= fabric.num_nodes()) {
-        throw std::invalid_argument("FaultPlan: link " + link.to_string() +
-                                    " names a node outside the fabric");
-      }
-    } else if (!topo.adjacent(link.a, link.b)) {
-      throw std::invalid_argument("FaultPlan: link " + link.to_string() +
-                                  " is not a cable of this fat tree");
-    }
-  };
-  for (const LinkBerOverride& o : plan_.link_ber) validate(o.link);
-  for (const LinkDownWindow& w : plan_.link_windows) validate(w.link);
+  for (const LinkBerOverride& o : plan_.link_ber) fabric.check_link(o.link);
+  fabric.set_link_windows(plan_.link_windows);
 
   if (plan_.ber > 0.0 || !plan_.link_ber.empty()) {
     fabric.set_fault_hooks(this);
   }
 
+  // The fabric reads link state from the windows themselves; these events
+  // only count and trace the transitions.
   for (const LinkDownWindow& w : plan_.link_windows) {
-    // Pointer init-captures: a post_at closure outlives this frame, so it
-    // must not alias the `fabric` reference slot (closure-lifetime rule).
-    // The fabric itself is owned by the cluster and outlives the run.
-    engine_.post_at(w.down, [this, fab = &fabric, link = w.link] {
-      set_link_state(*fab, link, /*up=*/false);
+    engine_.post_at(w.down, [this] {
       ++downs_;
-      ICSIM_TRACE_WITH(engine_, tr) {
-        if (trace_id_ == 0) {
-          trace_id_ = tr.register_component(trace::Category::fault, "injector");
-        }
-        tr.instant(trace::Category::fault, trace_id_, "link_down",
-                   engine_.now());
-      }
+      trace_transition("link_down");
     });
     if (w.up > w.down) {
-      engine_.post_at(w.up, [this, fab = &fabric, link = w.link] {
-        set_link_state(*fab, link, /*up=*/true);
+      engine_.post_at(w.up, [this] {
         ++ups_;
-        ICSIM_TRACE_WITH(engine_, tr) {
-          if (trace_id_ == 0) {
-            trace_id_ =
-                tr.register_component(trace::Category::fault, "injector");
-          }
-          tr.instant(trace::Category::fault, trace_id_, "link_up",
-                     engine_.now());
-        }
+        trace_transition("link_up");
       });
     }
+  }
+}
+
+void FaultInjector::trace_transition(const char* what) {
+  ICSIM_TRACE_WITH(engine_, tr) {
+    if (trace_id_ == 0) {
+      trace_id_ = tr.register_component(trace::Category::fault, "injector");
+    }
+    tr.instant(trace::Category::fault, trace_id_, what, engine_.now());
   }
 }
 

@@ -5,10 +5,11 @@
 // per-hop BER queries and performs the deterministic corruption draws (one
 // mt19937_64 stream seeded from the plan, independent of every application
 // stream — a fault-free plan draws nothing, keeping runs bit-identical to a
-// fabric without an injector).  As a scheduler it posts the plan's link
-// down/up transitions and node stall windows onto the engine at install
-// time, flipping fabric link state and freezing node resources when the
-// simulation clock reaches them.
+// fabric without an injector).  It hands the plan's link down windows to
+// the fabric, which evaluates them at simulated time, and posts one event
+// per down/up transition that only counts and traces it.  It also posts
+// the node stall windows, freezing node resources when the simulation
+// clock reaches them.
 
 #include <cstdint>
 #include <vector>
@@ -31,8 +32,9 @@ class FaultInjector final : public net::FaultHooks {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Hook into `fabric` and schedule the plan's link down/up transitions.
-  /// Validates every LinkRef against the fabric's topology and throws
+  /// Hook into `fabric`, install the plan's link down windows on it, and
+  /// schedule the counting/tracing events of their transitions.  Validates
+  /// every LinkRef against the fabric's topology and throws
   /// std::invalid_argument on out-of-range nodes or non-adjacent switches.
   /// The injector must outlive the fabric's use of it.
   void install(net::Fabric& fabric);
@@ -54,7 +56,7 @@ class FaultInjector final : public net::FaultHooks {
   void publish_metrics(trace::MetricsRegistry& m) const;
 
  private:
-  void set_link_state(net::Fabric& fabric, const LinkRef& link, bool up);
+  void trace_transition(const char* what);
 
   sim::Engine& engine_;
   FaultPlan plan_;

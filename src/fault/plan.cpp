@@ -100,24 +100,6 @@ LinkRef parse_link(const std::string& tok) {
 
 }  // namespace
 
-bool LinkRef::covers(const net::Hop& hop) const {
-  switch (hop.kind) {
-    case net::Hop::Kind::node_to_switch:
-    case net::Hop::Kind::switch_to_node:
-      return kind == Kind::node && hop.node == node;
-    case net::Hop::Kind::switch_to_switch:
-      return kind == Kind::switch_pair &&
-             ((hop.from == a && hop.to == b) || (hop.from == b && hop.to == a));
-  }
-  return false;
-}
-
-std::string LinkRef::to_string() const {
-  if (kind == Kind::node) return "n" + std::to_string(node);
-  return "s" + std::to_string(a.level) + "." + std::to_string(a.word) + "-" +
-         std::to_string(b.level) + "." + std::to_string(b.word);
-}
-
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
   for (const std::string& clause : split(spec, ';')) {

@@ -33,44 +33,15 @@
 #include <string>
 #include <vector>
 
-#include "net/topology.hpp"
+#include "net/fabric.hpp"
 #include "sim/time.hpp"
 
 namespace icsim::fault {
 
-/// An undirected link of the fat tree: either the endpoint cable of one
-/// node, or the cable between two adjacent switches.
-struct LinkRef {
-  enum class Kind { node, switch_pair };
-  Kind kind = Kind::node;
-  int node = -1;               ///< Kind::node
-  net::SwitchCoord a{}, b{};   ///< Kind::switch_pair (order irrelevant)
-
-  [[nodiscard]] static LinkRef endpoint(int node) {
-    LinkRef l;
-    l.kind = Kind::node;
-    l.node = node;
-    return l;
-  }
-  [[nodiscard]] static LinkRef between(net::SwitchCoord a, net::SwitchCoord b) {
-    LinkRef l;
-    l.kind = Kind::switch_pair;
-    l.a = a;
-    l.b = b;
-    return l;
-  }
-  /// Does a directed hop traverse this (undirected) link?
-  [[nodiscard]] bool covers(const net::Hop& hop) const;
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Link goes down at `down`; comes back at `up`, or stays down forever when
-/// `up <= down`.
-struct LinkDownWindow {
-  LinkRef link;
-  sim::Time down = sim::Time::zero();
-  sim::Time up = sim::Time::zero();
-};
+/// Links and down windows are the fabric's own vocabulary: the fabric
+/// evaluates a plan's windows at simulated time (net/fabric.hpp).
+using LinkRef = net::LinkRef;
+using LinkDownWindow = net::LinkDownWindow;
 
 struct LinkBerOverride {
   LinkRef link;

@@ -10,12 +10,22 @@
 namespace icsim::net {
 
 Fabric::Fabric(sim::Engine& engine, const FabricConfig& config, int num_nodes)
-    : engine_(engine),
+    : Fabric(FabricPartitions{Partitioning{}, {&engine}, nullptr}, config,
+             num_nodes) {}
+
+Fabric::Fabric(FabricPartitions parts, const FabricConfig& config,
+               int num_nodes)
+    : part_(std::move(parts)),
+      shards_(part_.engines.size()),
       cfg_(config),
       topo_(config.radix_down, config.levels),
       num_nodes_(num_nodes) {
   if (num_nodes > topo_.capacity()) {
     throw std::invalid_argument("Fabric: more nodes than the tree can attach");
+  }
+  if (part_.map.parts != static_cast<int>(part_.engines.size())) {
+    throw std::invalid_argument(
+        "Fabric: partitioning does not match the engine count");
   }
 }
 
@@ -41,21 +51,6 @@ std::uint64_t Fabric::key_of(const Hop& hop) const {
   return 0;  // unreachable
 }
 
-std::uint64_t Fabric::cable_key_of(const Hop& hop) const {
-  switch (hop.kind) {
-    case Hop::Kind::node_to_switch:
-    case Hop::Kind::switch_to_node:
-      return (1ull << 63) | static_cast<std::uint64_t>(hop.node);
-    case Hop::Kind::switch_to_switch: {
-      std::uint64_t a = topo_.switch_id(hop.from);
-      std::uint64_t b = topo_.switch_id(hop.to);
-      if (a > b) std::swap(a, b);
-      return (a << 31) | b;
-    }
-  }
-  return 0;  // unreachable
-}
-
 std::string Fabric::link_name(const Hop& hop) const {
   switch (hop.kind) {
     case Hop::Kind::node_to_switch:
@@ -69,13 +64,14 @@ std::string Fabric::link_name(const Hop& hop) const {
   return "link";
 }
 
-Fabric::DirectedLink& Fabric::link_for(const Hop& hop) {
+Fabric::DirectedLink& Fabric::link_for(int p, const Hop& hop) {
+  auto& links = shards_[static_cast<std::size_t>(p)].links;
   const std::uint64_t key = key_of(hop);
-  auto it = links_.find(key);
-  if (it == links_.end()) {
-    it = links_
+  auto it = links.find(key);
+  if (it == links.end()) {
+    it = links
              .emplace(key, std::make_unique<DirectedLink>(
-                               engine_, link_name(hop), hop))
+                               engine(p), link_name(hop), hop))
              .first;
     if (hooks_ != nullptr) it->second->ber = hooks_->link_ber(hop);
   }
@@ -83,72 +79,81 @@ Fabric::DirectedLink& Fabric::link_for(const Hop& hop) {
 }
 
 void Fabric::set_fault_hooks(FaultHooks* hooks) {
+  if (hooks != nullptr && shards_.size() > 1) {
+    throw std::invalid_argument(
+        "Fabric: fault hooks share one RNG stream; a partitioned fabric "
+        "cannot draw corruption");
+  }
   hooks_ = hooks;
-  for (auto& [key, link] : links_) {
+  for (auto& [key, link] : shards_.front().links) {
     (void)key;
     link->ber = hooks_ != nullptr ? hooks_->link_ber(link->hop) : 0.0;
   }
 }
 
-void Fabric::set_node_link_state(int node, bool up) {
-  const std::uint64_t key =
-      (1ull << 63) | static_cast<std::uint64_t>(node);
-  if (up) {
-    downed_.erase(key);
-  } else {
-    downed_.insert(key);
+void Fabric::check_link(const LinkRef& link) const {
+  if (link.kind == LinkRef::Kind::node) {
+    if (link.node < 0 || link.node >= num_nodes_) {
+      throw std::invalid_argument("Fabric: link " + link.to_string() +
+                                  " names a node outside the fabric");
+    }
+  } else if (!topo_.adjacent(link.a, link.b)) {
+    throw std::invalid_argument("Fabric: link " + link.to_string() +
+                                " is not a cable of this fat tree");
   }
 }
 
-void Fabric::set_switch_link_state(SwitchCoord a, SwitchCoord b, bool up) {
-  if (!topo_.adjacent(a, b)) {
-    throw std::invalid_argument("Fabric: " + std::to_string(a.level) + "." +
-                                std::to_string(a.word) + " and " +
-                                std::to_string(b.level) + "." +
-                                std::to_string(b.word) +
-                                " are not adjacent switches");
-  }
-  std::uint64_t ka = topo_.switch_id(a);
-  std::uint64_t kb = topo_.switch_id(b);
-  if (ka > kb) std::swap(ka, kb);
-  const std::uint64_t key = (ka << 31) | kb;
-  if (up) {
-    downed_.erase(key);
-  } else {
-    downed_.insert(key);
-  }
+void Fabric::set_link_windows(std::vector<LinkDownWindow> windows) {
+  for (const LinkDownWindow& w : windows) check_link(w.link);
+  windows_ = std::move(windows);
 }
 
-bool Fabric::link_up(const Hop& hop) const {
-  return downed_.find(cable_key_of(hop)) == downed_.end();
+bool Fabric::link_down_at(const Hop& hop, sim::Time t) const {
+  for (const LinkDownWindow& w : windows_) {
+    if (w.active_at(t) && w.link.covers(hop)) return true;
+  }
+  return false;
 }
 
-void Fabric::finish(DeliveryFn& on_complete, DeliveryStatus status,
+std::uint64_t Fabric::sum(std::uint64_t Shard::*field) const {
+  std::uint64_t v = 0;
+  for (const Shard& sh : shards_) v += sh.*field;
+  return v;
+}
+
+void Fabric::finish(int p, DeliveryFn& on_complete, DeliveryStatus status,
                     std::uint32_t bytes) {
-  ICSIM_CHECK(in_flight_ > 0, "fabric chunk completed more than once");
-  --in_flight_;
+  Shard& sh = shards_[static_cast<std::size_t>(p)];
+  // Partitioned, a chunk may retire in another partition than it entered,
+  // so only the drained sum is checkable (audit_drained).
+  ICSIM_CHECK(shards_.size() > 1 || sh.in_flight > 0,
+              "fabric chunk completed more than once");
+  --sh.in_flight;
   switch (status) {
     case DeliveryStatus::delivered:
-      ++delivered_;
-      bytes_delivered_ += bytes;
+      ++sh.delivered;
+      sh.bytes_delivered += bytes;
       break;
     case DeliveryStatus::corrupted:
-      ++corrupted_;
-      bytes_dropped_ += bytes;
+      ++sh.corrupted;
+      sh.bytes_dropped += bytes;
       break;
     case DeliveryStatus::link_down:
-      ++down_drops_;
-      bytes_dropped_ += bytes;
+      ++sh.down_drops;
+      sh.bytes_dropped += bytes;
       break;
   }
   if (on_complete) on_complete(status);
 }
 
 void Fabric::audit_drained() const {
-  ICSIM_CHECK(in_flight_ == 0, "fabric drained with chunks still in flight");
-  ICSIM_CHECK(chunks_ == delivered_ + corrupted_ + down_drops_,
+  ICSIM_CHECK(chunks_in_flight() == 0,
+              "fabric drained with chunks still in flight");
+  ICSIM_CHECK(chunks_sent() == chunks_delivered() + chunks_corrupted() +
+                                   chunks_dropped_link_down(),
               "fabric chunk conservation: injected != delivered + dropped");
-  ICSIM_CHECK(bytes_injected_ == bytes_delivered_ + bytes_dropped_,
+  ICSIM_CHECK(sum(&Shard::bytes_injected) ==
+                  sum(&Shard::bytes_delivered) + sum(&Shard::bytes_dropped),
               "fabric byte conservation: injected != delivered + dropped");
 }
 
@@ -156,16 +161,18 @@ void Fabric::forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
                      std::uint32_t bytes, DeliveryFn on_complete,
                      sim::Time* first_tx_done) {
   const Hop& hop = (*route)[index];
+  const int p = owner(hop);
+  sim::Engine& eng = engine(p);
 
   // A link that failed while the chunk was already in flight swallows it.
   // (Injection-time failures are handled by rerouting in inject().)
-  if (!downed_.empty() && !link_up(hop)) {
-    if (first_tx_done != nullptr) *first_tx_done = engine_.now();
-    finish(on_complete, DeliveryStatus::link_down, bytes);
+  if (!windows_.empty() && link_down_at(hop, eng.now())) {
+    if (first_tx_done != nullptr) *first_tx_done = eng.now();
+    finish(p, on_complete, DeliveryStatus::link_down, bytes);
     return;
   }
 
-  DirectedLink& link = link_for(hop);
+  DirectedLink& link = link_for(p, hop);
 
   const sim::Time ser = serialization_time(bytes);
   // Entering a switch costs its pipeline latency; the endpoint hop does not.
@@ -178,7 +185,7 @@ void Fabric::forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
   // Per-hop packet span: occupancy of this link's transmitter (queueing
   // excluded — the span covers serialization, which is what utilization
   // means; a gap between spans of consecutive hops is switch/wire latency).
-  ICSIM_TRACE_WITH(engine_, tr) {
+  ICSIM_TRACE_WITH(eng, tr) {
     if (link.trace_id == 0) {
       link.trace_id = tr.register_component(trace::Category::link,
                                             link.tx.name());
@@ -193,63 +200,76 @@ void Fabric::forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
   if (hooks_ != nullptr && link.ber > 0.0 &&
       hooks_->draw_corruption(link.ber, wire_bytes(bytes))) {
     ++link.corrupted;
-    ICSIM_TRACE_WITH(engine_, tr) {
+    ICSIM_TRACE_WITH(eng, tr) {
       tr.instant(trace::Category::link, link.trace_id, "crc_drop",
                  tx_done);
     }
-    engine_.post_at(tx_done + cfg_.wire_latency,
-                    [this, bytes, on_complete = std::move(on_complete)]() mutable {
-                      finish(on_complete, DeliveryStatus::corrupted, bytes);
-                    });
+    eng.post_at(tx_done + cfg_.wire_latency,
+                [this, p, bytes, on_complete = std::move(on_complete)]() mutable {
+                  finish(p, on_complete, DeliveryStatus::corrupted, bytes);
+                });
     return;
   }
-  ++link.forwarded;
 
   const sim::Time arrival = tx_done + cfg_.wire_latency + entry_latency;
+  // The final hop is switch_to_node, owned by the destination's partition,
+  // so delivery is always local to p.
   const bool last = index + 1 == route->size();
-  engine_.post_at(
-      arrival, [this, route = std::move(route), index, bytes,
-                on_complete = std::move(on_complete), last]() mutable {
-        if (last) {
-          finish(on_complete, DeliveryStatus::delivered, bytes);
-        } else {
-          forward(std::move(route), index + 1, bytes, std::move(on_complete),
-                  nullptr);
-        }
-      });
+  const int next = last ? p : owner((*route)[index + 1]);
+  auto cont = [this, route = std::move(route), index, bytes,
+               on_complete = std::move(on_complete), last, p]() mutable {
+    if (last) {
+      finish(p, on_complete, DeliveryStatus::delivered, bytes);
+    } else {
+      forward(std::move(route), index + 1, bytes, std::move(on_complete),
+              nullptr);
+    }
+  };
+  if (next == p) {
+    eng.post_at(arrival, std::move(cont));
+  } else {
+    // The hand-off carries wire + switch latency of simulated delay —
+    // exactly lookahead_of(), so it never lands inside the running window.
+    part_.post_cross(p, next, arrival, std::move(cont));
+  }
 }
 
 sim::Time Fabric::inject(int src, int dst, std::uint32_t bytes,
                          DeliveryFn on_complete) {
   assert(src != dst && "Fabric::inject: local sends bypass the fabric");
   assert(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
-  ++chunks_;
-  ++in_flight_;
-  bytes_injected_ += bytes;
   std::vector<Hop> path = topo_.route(src, dst);
-  if (!downed_.empty()) {
+  const int p = owner(path.front());  // src's partition
+  Shard& sh = shards_[static_cast<std::size_t>(p)];
+  sim::Engine& eng = engine(p);
+  ++sh.chunks;
+  ++sh.in_flight;
+  sh.bytes_injected += bytes;
+  if (!windows_.empty()) {
+    const sim::Time now = eng.now();
     bool blocked = false;
     for (const Hop& hop : path) {
-      if (!link_up(hop)) {
+      if (link_down_at(hop, now)) {
         blocked = true;
         break;
       }
     }
     if (blocked) {
-      path = topo_.route_avoiding(
-          src, dst, [this](const Hop& hop) { return !link_up(hop); });
+      path = topo_.route_avoiding(src, dst, [this, now](const Hop& hop) {
+        return link_down_at(hop, now);
+      });
       if (path.empty()) {
         // Fabric partitioned (endpoint cable down, or every climb blocked):
         // nothing a switch can do — the chunk is lost at the source port.
-        engine_.post_in(sim::Time::zero(),
-                        [this, bytes,
-                         on_complete = std::move(on_complete)]() mutable {
-                          ++no_route_drops_;
-                          finish(on_complete, DeliveryStatus::link_down, bytes);
-                        });
-        return engine_.now();
+        eng.post_in(sim::Time::zero(),
+                    [this, p, bytes,
+                     on_complete = std::move(on_complete)]() mutable {
+                      ++shards_[static_cast<std::size_t>(p)].no_route_drops;
+                      finish(p, on_complete, DeliveryStatus::link_down, bytes);
+                    });
+        return now;
       }
-      ++rerouted_;
+      ++sh.rerouted;
     }
   }
   auto route = std::make_shared<std::vector<Hop>>(std::move(path));
@@ -260,40 +280,60 @@ sim::Time Fabric::inject(int src, int dst, std::uint32_t bytes,
 
 sim::Time Fabric::max_link_busy_time() const {
   sim::Time best = sim::Time::zero();
-  for (const auto& [key, link] : links_) {
-    (void)key;
-    if (link->tx.busy_time() > best) best = link->tx.busy_time();
+  for (const Shard& sh : shards_) {
+    for (const auto& [key, link] : sh.links) {
+      (void)key;
+      if (link->tx.busy_time() > best) best = link->tx.busy_time();
+    }
   }
   return best;
 }
 
 void Fabric::publish_metrics(trace::MetricsRegistry& m,
                              sim::Time elapsed) const {
-  m.counter("net.chunks_sent") = chunks_;
-  m.counter("net.chunks_delivered") = delivered_;
-  m.counter("net.chunks_corrupted") = corrupted_;
-  m.counter("net.chunks_dropped_link_down") = down_drops_;
-  m.counter("net.chunks_rerouted") = rerouted_;
-  m.counter("net.chunks_no_route") = no_route_drops_;
-  m.counter("net.chunks_in_flight") = in_flight_;
-  m.counter("net.links_used") = links_.size();
-  m.counter("net.links_down") = downed_.size();
+  m.counter("net.chunks_sent") = chunks_sent();
+  m.counter("net.chunks_delivered") = chunks_delivered();
+  m.counter("net.chunks_corrupted") = chunks_corrupted();
+  m.counter("net.chunks_dropped_link_down") = chunks_dropped_link_down();
+  m.counter("net.chunks_rerouted") = chunks_rerouted();
+  m.counter("net.chunks_no_route") = chunks_no_route();
+  m.counter("net.chunks_in_flight") = chunks_in_flight();
+  std::uint64_t links = 0;
+  for (const Shard& sh : shards_) links += sh.links.size();
+  m.counter("net.links_used") = links;
+  // Cables inside a down window now, each counted once however many of
+  // its windows overlap.
+  const sim::Time now = engine(0).now();
+  std::uint64_t down = 0;
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    bool counted = !windows_[i].active_at(now);
+    for (std::size_t j = 0; j < i && !counted; ++j) {
+      counted = windows_[j].active_at(now) &&
+                windows_[j].link.same_cable(windows_[i].link);
+    }
+    if (!counted) ++down;
+  }
+  m.counter("net.links_down") = down;
   auto& util = m.stat("net.link_utilization");
   auto& busy = m.stat("net.link_busy_us");
   const double span_s = elapsed.to_seconds();
-  for (const auto& [key, link] : links_) {
-    (void)key;
-    busy.add(link->tx.busy_time().to_us());
-    if (span_s > 0.0) {
-      util.add(link->tx.busy_time().to_seconds() / span_s);
+  for (const Shard& sh : shards_) {
+    for (const auto& [key, link] : sh.links) {
+      (void)key;
+      busy.add(link->tx.busy_time().to_us());
+      if (span_s > 0.0) {
+        util.add(link->tx.busy_time().to_seconds() / span_s);
+      }
     }
   }
-  if (corrupted_ > 0) {
+  if (chunks_corrupted() > 0) {
     auto& per_link = m.stat("net.link_corrupted_chunks");
-    for (const auto& [key, link] : links_) {
-      (void)key;
-      if (link->corrupted > 0) {
-        per_link.add(static_cast<double>(link->corrupted));
+    for (const Shard& sh : shards_) {
+      for (const auto& [key, link] : sh.links) {
+        (void)key;
+        if (link->corrupted > 0) {
+          per_link.add(static_cast<double>(link->corrupted));
+        }
       }
     }
   }

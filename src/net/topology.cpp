@@ -161,4 +161,28 @@ bool FatTreeTopology::adjacent(SwitchCoord a, SwitchCoord b) const {
   return true;
 }
 
+bool LinkRef::covers(const Hop& hop) const {
+  switch (hop.kind) {
+    case Hop::Kind::node_to_switch:
+    case Hop::Kind::switch_to_node:
+      return kind == Kind::node && hop.node == node;
+    case Hop::Kind::switch_to_switch:
+      return kind == Kind::switch_pair &&
+             ((hop.from == a && hop.to == b) || (hop.from == b && hop.to == a));
+  }
+  return false;
+}
+
+bool LinkRef::same_cable(const LinkRef& other) const {
+  if (kind != other.kind) return false;
+  if (kind == Kind::node) return node == other.node;
+  return (a == other.a && b == other.b) || (a == other.b && b == other.a);
+}
+
+std::string LinkRef::to_string() const {
+  if (kind == Kind::node) return "n" + std::to_string(node);
+  return "s" + std::to_string(a.level) + "." + std::to_string(a.word) + "-" +
+         std::to_string(b.level) + "." + std::to_string(b.word);
+}
+
 }  // namespace icsim::net

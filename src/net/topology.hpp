@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace icsim::net {
@@ -43,6 +44,35 @@ struct Hop {
   int node = -1;
   SwitchCoord from{};  // valid unless kind == node_to_switch
   SwitchCoord to{};    // valid unless kind == switch_to_node
+};
+
+/// An undirected link of the tree: either the endpoint cable of one node,
+/// or the cable between two adjacent switches.  Both directions of a cable
+/// fail together.
+struct LinkRef {
+  enum class Kind { node, switch_pair };
+  Kind kind = Kind::node;
+  int node = -1;           ///< Kind::node
+  SwitchCoord a{}, b{};    ///< Kind::switch_pair (order irrelevant)
+
+  [[nodiscard]] static LinkRef endpoint(int node) {
+    LinkRef l;
+    l.kind = Kind::node;
+    l.node = node;
+    return l;
+  }
+  [[nodiscard]] static LinkRef between(SwitchCoord a, SwitchCoord b) {
+    LinkRef l;
+    l.kind = Kind::switch_pair;
+    l.a = a;
+    l.b = b;
+    return l;
+  }
+  /// Does a directed hop traverse this (undirected) link?
+  [[nodiscard]] bool covers(const Hop& hop) const;
+  /// Do both refs name the same cable (switch order ignored)?
+  [[nodiscard]] bool same_cable(const LinkRef& other) const;
+  [[nodiscard]] std::string to_string() const;
 };
 
 class FatTreeTopology {

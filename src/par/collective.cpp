@@ -17,7 +17,7 @@ namespace {
 }
 }  // namespace
 
-CollectiveWorld::CollectiveWorld(ParEngine& engine, ShardedFabric& fabric,
+CollectiveWorld::CollectiveWorld(ParEngine& engine, net::Fabric& fabric,
                                  const ParNetParams& params)
     : par_(engine), fabric_(fabric), prm_(params) {
   const int n = fabric.num_nodes();
@@ -64,16 +64,21 @@ void CollectiveWorld::send(Rank& from, int to, int iter, int phase, int round,
           const std::uint32_t sz =
               left > prm_.chunk_bytes ? prm_.chunk_bytes : left;
           left -= sz;
-          fabric_.inject(src, to, sz, [this, to, key, nchunks, phase] {
-            on_chunk(to, key, nchunks, phase);
-          });
+          // Lost chunks are only counted: this tier has no retry, so a
+          // plan that partitions the fabric ends in a detected deadlock.
+          (void)fabric_.inject(
+              src, to, sz,
+              [this, to, key, nchunks, phase](net::DeliveryStatus st) {
+                if (st != net::DeliveryStatus::delivered) return;
+                on_chunk(to, key, nchunks, phase);
+              });
         }
       });
 }
 
 void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
                                std::uint32_t nchunks, int phase) {
-  // Runs in dst's partition (ShardedFabric delivery contract).
+  // Runs in dst's partition (net::Fabric delivers there).
   Rank& r = *ranks_[static_cast<std::size_t>(dst)];
   std::uint32_t& got = r.chunks_got[key];
   ++got;

@@ -19,22 +19,21 @@
 // Timing is an LogGP-style per-message model calibrated from the same NIC
 // configs the full stacks use (params_for in par_cluster.hpp): a send
 // serializes send_overhead on the rank's CPU, the chunk(s) traverse the
-// sharded fabric, and the receiver serializes recv_overhead (+ reduce_cost
-// when combining) before its state machine advances.  Coarser than the
-// full HCA/Elan models — no eager/rendezvous switch, no registration
-// cache, no NIC thread contention — but it preserves the two fabric- and
-// overhead-level effects Figure 8's extrapolation rests on: per-message
-// host/NIC overhead (IB's WQE cost vs Elan's PIO post) and per-hop switch
-// latency compounding with tree depth.
+// partitioned net::Fabric, and the receiver serializes recv_overhead
+// (+ reduce_cost when combining) before its state machine advances.
+// Coarser than the full HCA/Elan models — no eager/rendezvous switch, no
+// registration cache, no NIC thread contention — but it preserves the two
+// fabric- and overhead-level effects Figure 8's extrapolation rests on:
+// per-message host/NIC overhead (IB's WQE cost vs Elan's PIO post) and
+// per-hop switch latency compounding with tree depth.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "net/fabric.hpp"
 #include "par/par_engine.hpp"
-#include "par/partition.hpp"
-#include "par/sharded_fabric.hpp"
 #include "sim/resource.hpp"
 #include "sim/time.hpp"
 
@@ -73,7 +72,8 @@ struct ParNetParams {
 /// partitioned the fabric).
 class CollectiveWorld {
  public:
-  CollectiveWorld(ParEngine& engine, ShardedFabric& fabric,
+  /// `fabric` must be partitioned over `engine`'s shards.
+  CollectiveWorld(ParEngine& engine, net::Fabric& fabric,
                   const ParNetParams& params);
 
   /// Schedule every rank's first iteration at t = 0.  Call once, before
@@ -130,7 +130,7 @@ class CollectiveWorld {
   [[nodiscard]] bool take(Rank& r, int phase, int round);
 
   ParEngine& par_;
-  ShardedFabric& fabric_;
+  net::Fabric& fabric_;
   ParNetParams prm_;
   CollectiveSpec spec_;
   int rounds_ = 0;     ///< barrier: ceil(log2 n); allreduce: log2 of block

@@ -1,8 +1,12 @@
 #include "par/par_cluster.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace icsim::par {
 
@@ -31,6 +35,23 @@ ParNetParams params_for(const core::ClusterConfig& config) {
   return p;
 }
 
+namespace {
+
+/// ICSIM_PAR_THREADS must be a whole positive int; reject the rest rather
+/// than guess a thread count.
+[[nodiscard]] int parse_par_threads(std::string_view text) {
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 1) {
+    throw std::invalid_argument("ICSIM_PAR_THREADS='" + std::string(text) +
+                                "': expected a positive integer");
+  }
+  return v;
+}
+
+}  // namespace
+
 ParCluster::ParCluster(const core::ClusterConfig& config, int partitions)
     : cfg_(config) {
   if (cfg_.ppn != 1) {
@@ -52,26 +73,27 @@ ParCluster::ParCluster(const core::ClusterConfig& config, int partitions)
       core::fabric_config_for(cfg_.network, cfg_.nodes);
   const net::FatTreeTopology topo(fc.radix_down, fc.levels);
   if (partitions <= 0) partitions = kDefaultPartitions;
-  Partitioning parts = make_partitioning(topo, cfg_.nodes, partitions);
+  net::FabricPartitions fparts;
+  fparts.map = net::make_partitioning(topo, cfg_.nodes, partitions);
 
   int threads = cfg_.intra_run_threads;
   if (cfg_.env_overrides) {
     if (const char* env = std::getenv("ICSIM_PAR_THREADS")) {
-      threads = std::atoi(env);
-      if (threads < 1) threads = 1;
+      threads = parse_par_threads(env);
     }
   }
 
   ParConfig pc;
-  pc.partitions = parts.parts;
+  pc.partitions = fparts.map.parts;
   pc.threads = threads;
-  pc.lookahead = ShardedFabric::lookahead_of(fc);
+  pc.lookahead = net::Fabric::lookahead_of(fc);
   engine_ = std::make_unique<ParEngine>(pc);
-  fabric_ = std::make_unique<ShardedFabric>(*engine_, fc, cfg_.nodes,
-                                            std::move(parts));
-  if (!fp.link_windows.empty()) {
-    fabric_->set_link_windows(fp.link_windows);
+  for (int p = 0; p < pc.partitions; ++p) {
+    fparts.engines.push_back(&engine_->shard(p));
   }
+  fparts.post_cross = std::bind_front(&ParEngine::post_cross, engine_.get());
+  fabric_ = std::make_unique<net::Fabric>(std::move(fparts), fc, cfg_.nodes);
+  fabric_->set_link_windows(fp.link_windows);
   world_ = std::make_unique<CollectiveWorld>(*engine_, *fabric_,
                                              params_for(cfg_));
 }

@@ -3,12 +3,12 @@
 // core::Cluster for large-scale collective extrapolation.
 //
 // A ParCluster takes the same core::ClusterConfig a Cluster does, but runs
-// its workload on the conservatively synchronized ParEngine: the fabric is
-// partition-sharded (sharded_fabric.hpp) and the ranks are event-driven
-// state machines (collective.hpp) instead of fibers.  This is what makes
-// 8192-node points tractable — the fiber tier allocates per-rank stacks and
-// O(n^2) connection state, and its fibers pin the whole simulation to one
-// thread.
+// its workload on the conservatively synchronized ParEngine: the same
+// net::Fabric runs partitioned over the engine's shards, and the ranks are
+// event-driven state machines (collective.hpp) instead of fibers.  This is
+// what makes 8192-node points tractable — the fiber tier allocates per-rank
+// stacks and O(n^2) connection state, and its fibers pin the whole
+// simulation to one thread.
 //
 // Scope: ppn == 1, InfiniBand or Quadrics, barrier/allreduce workloads, and
 // fault plans consisting only of link-down windows (evaluated as pure time
@@ -21,15 +21,16 @@
 // Environment override: ICSIM_PAR_THREADS (honored when
 // ClusterConfig::env_overrides is set, like ICSIM_TRACE / ICSIM_FAULTS)
 // forces the thread count without a rebuild — how the CI digest matrix
-// drives the same binary at 1/2/4/8 threads.
+// drives the same binary at 1/2/4/8 threads.  Its value must be a positive
+// integer in int range; anything else throws std::invalid_argument.
 
 #include <cstdint>
 #include <memory>
 
 #include "core/cluster.hpp"
 #include "par/collective.hpp"
+#include "net/fabric.hpp"
 #include "par/par_engine.hpp"
-#include "par/sharded_fabric.hpp"
 
 namespace icsim::par {
 
@@ -81,13 +82,13 @@ class ParCluster {
   [[nodiscard]] int partitions() const { return engine_->partitions(); }
   [[nodiscard]] int threads_used() const { return engine_->threads_used(); }
   [[nodiscard]] ParEngine& engine() { return *engine_; }
-  [[nodiscard]] ShardedFabric& fabric() { return *fabric_; }
+  [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] const core::ClusterConfig& config() const { return cfg_; }
 
  private:
   core::ClusterConfig cfg_;
   std::unique_ptr<ParEngine> engine_;
-  std::unique_ptr<ShardedFabric> fabric_;
+  std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<CollectiveWorld> world_;
 };
 

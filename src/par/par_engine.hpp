@@ -5,7 +5,7 @@
 // sim::Engine with its own queue, clock, sequence counter, and digest.  The
 // shards advance in lockstep *windows* of width L, the lookahead — the
 // minimum simulated delay any cross-partition interaction carries (for the
-// fat-tree fabric: wire_latency + switch_latency, see sharded_fabric.hpp).
+// fat-tree fabric: wire_latency + switch_latency, net::Fabric::lookahead_of).
 // Within a window [W, W+L) every shard runs its own events independently;
 // any event one shard schedules into another is buffered in a per-source
 // outbox and is guaranteed (ICSIM_CHECK-enforced) to carry a timestamp

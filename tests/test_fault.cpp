@@ -118,8 +118,9 @@ TEST(FaultInjectorTest, DownWindowFlipsFabricLinkState) {
   const net::Hop hop = fabric.topology().route(0, 4).front();
   std::vector<bool> up_at;  // sampled at 5us, 15us, 25us
   for (const double t : {5.0, 15.0, 25.0}) {
-    engine.post_at(sim::Time::us(t),
-                   [&] { up_at.push_back(fabric.link_up(hop)); });
+    engine.post_at(sim::Time::us(t), [&] {
+      up_at.push_back(!fabric.link_down_at(hop, engine.now()));
+    });
   }
   engine.run();
   ASSERT_EQ(up_at.size(), 3u);
@@ -128,6 +129,36 @@ TEST(FaultInjectorTest, DownWindowFlipsFabricLinkState) {
   EXPECT_TRUE(up_at[2]);   // restored
   EXPECT_EQ(inj.link_down_events(), 1u);
   EXPECT_EQ(inj.link_up_events(), 1u);
+}
+
+TEST(FaultInjectorTest, OverlappingWindowsHoldCableDownForTheirUnion) {
+  // [10us, 30us) and [20us, 40us) on one cable: the first window's up
+  // transition must not restore a cable the second still holds down, and a
+  // forever window must outlast a bounded one.  A chunk sent at 35us to
+  // node 3 therefore finds no route.
+  for (const sim::Time second_up : {sim::Time::us(40), sim::Time::zero()}) {
+    sim::Engine engine;
+    net::Fabric fabric(engine, net::FabricConfig{}, 8);
+    FaultPlan plan;
+    plan.link_windows.push_back(
+        {LinkRef::endpoint(3), sim::Time::us(10), sim::Time::us(30)});
+    const sim::Time second_down =
+        second_up == sim::Time::zero() ? sim::Time::us(5) : sim::Time::us(20);
+    plan.link_windows.push_back({LinkRef::endpoint(3), second_down, second_up});
+    FaultInjector inj(engine, plan, /*fallback_seed=*/1);
+    inj.install(fabric);
+
+    std::vector<net::DeliveryStatus> statuses;
+    engine.post_at(sim::Time::us(35), [&] {
+      (void)fabric.inject(0, 3, 256, [&](net::DeliveryStatus st) {
+        statuses.push_back(st);
+      });
+    });
+    engine.run();
+    ASSERT_EQ(statuses.size(), 1u);
+    EXPECT_EQ(statuses[0], net::DeliveryStatus::link_down);
+    EXPECT_EQ(fabric.chunks_no_route(), 1u);
+  }
 }
 
 TEST(FaultInjectorTest, ValidatesLinksAgainstTopology) {
@@ -214,7 +245,11 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
   }
   ASSERT_EQ(spine.kind, net::Hop::Kind::switch_to_switch);
 
-  fabric.set_switch_link_state(spine.from, spine.to, false);
+  // Down until 1ms: the first chunk reroutes, one sent after the window
+  // takes the default route again.
+  const sim::Time restored = sim::Time::ms(1);
+  fabric.set_link_windows(
+      {{LinkRef::between(spine.from, spine.to), sim::Time::zero(), restored}});
   std::vector<net::DeliveryStatus> statuses;
   (void)fabric.inject(0, 63, 4096,
                       [&](net::DeliveryStatus s) { statuses.push_back(s); });
@@ -224,20 +259,39 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
   EXPECT_EQ(fabric.chunks_rerouted(), 1u);
   EXPECT_EQ(fabric.chunks_dropped_link_down(), 0u);
 
-  // Restored: the default route works again, no further rerouting.
-  fabric.set_switch_link_state(spine.from, spine.to, true);
-  (void)fabric.inject(0, 63, 4096,
-                      [&](net::DeliveryStatus s) { statuses.push_back(s); });
+  engine.post_at(restored, [&] {
+    (void)fabric.inject(0, 63, 4096,
+                        [&](net::DeliveryStatus s) { statuses.push_back(s); });
+  });
   engine.run();
   ASSERT_EQ(statuses.size(), 2u);
   EXPECT_EQ(statuses[1], net::DeliveryStatus::delivered);
   EXPECT_EQ(fabric.chunks_rerouted(), 1u);
 }
 
+TEST(FabricFaults, OverlappingWindowsHoldCableDownForTheirUnion) {
+  sim::Engine engine;
+  net::Fabric fabric(engine, net::FabricConfig{}, 8);
+  const net::Hop hop = fabric.topology().route(3, 0).front();
+  fabric.set_link_windows(
+      {{LinkRef::endpoint(3), sim::Time::us(10), sim::Time::us(30)},
+       {LinkRef::endpoint(3), sim::Time::us(20), sim::Time::us(40)},
+       {LinkRef::endpoint(5), sim::Time::us(10), sim::Time::zero()},
+       {LinkRef::endpoint(5), sim::Time::us(20), sim::Time::us(30)}});
+  EXPECT_FALSE(fabric.link_down_at(hop, sim::Time::us(5)));
+  EXPECT_TRUE(fabric.link_down_at(hop, sim::Time::us(10)));
+  EXPECT_TRUE(fabric.link_down_at(hop, sim::Time::us(35)));  // second window
+  EXPECT_FALSE(fabric.link_down_at(hop, sim::Time::us(40)));
+  const net::Hop other = fabric.topology().route(5, 0).front();
+  EXPECT_TRUE(fabric.link_down_at(other, sim::Time::us(35)));  // forever
+  EXPECT_TRUE(fabric.link_down_at(other, sim::Time::sec(1)));
+}
+
 TEST(FabricFaults, DownedEndpointDropsAtInjection) {
   sim::Engine engine;
   net::Fabric fabric(engine, net::FabricConfig{}, 16);
-  fabric.set_node_link_state(9, false);
+  fabric.set_link_windows(
+      {{LinkRef::endpoint(9), sim::Time::zero(), sim::Time::zero()}});
   std::vector<net::DeliveryStatus> statuses;
   (void)fabric.inject(0, 9, 2048,
                       [&](net::DeliveryStatus s) { statuses.push_back(s); });
@@ -251,10 +305,11 @@ TEST(FabricFaults, DownedEndpointDropsAtInjection) {
 TEST(FabricFaults, RejectsNonAdjacentSwitchPair) {
   sim::Engine engine;
   net::Fabric fabric(engine, net::FabricConfig{}, 16);
-  EXPECT_THROW(
-      fabric.set_switch_link_state(net::SwitchCoord{0, 0},
-                                   net::SwitchCoord{2, 3}, false),
-      std::invalid_argument);
+  EXPECT_THROW(fabric.set_link_windows(
+                   {{LinkRef::between(net::SwitchCoord{0, 0},
+                                      net::SwitchCoord{2, 3}),
+                     sim::Time::zero(), sim::Time::zero()}}),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------- IB RC retry

@@ -1,21 +1,25 @@
 // Tests for the conservative parallel engine (src/par/): partitioning
 // invariants, the thread-count-invariant digest contract, the lookahead
-// audit, sharded-fabric timing parity with net::Fabric, collective shape
-// sanity, and the nested-parallelism guard.
+// audit, partition-count invariance of the partitioned net::Fabric,
+// collective shape sanity, and the nested-parallelism guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "fault/plan.hpp"
 #include "net/fabric.hpp"
+#include "net/partition.hpp"
 #include "par/collective.hpp"
 #include "par/par_cluster.hpp"
 #include "par/par_engine.hpp"
-#include "par/partition.hpp"
-#include "par/sharded_fabric.hpp"
 #include "sim/check.hpp"
 #include "sim/concurrency.hpp"
 
@@ -42,7 +46,7 @@ class ScopedExternalWorkers {
 
 TEST(Partitioning, NodesAlignWithTheirLeafSwitches) {
   const net::FatTreeTopology topo(4, 3);  // 64 endpoints, 16 leaves
-  const par::Partitioning p = par::make_partitioning(topo, 64, 8);
+  const net::Partitioning p = net::make_partitioning(topo, 64, 8);
   EXPECT_EQ(p.parts, 8);
   for (int n = 0; n < 64; ++n) {
     // The endpoint hops of every route must be partition-internal: a node
@@ -57,7 +61,7 @@ TEST(Partitioning, NodesAlignWithTheirLeafSwitches) {
 
 TEST(Partitioning, EndpointHopsNeverCrossPartitions) {
   const net::FatTreeTopology topo(4, 3);
-  const par::Partitioning p = par::make_partitioning(topo, 64, 4);
+  const net::Partitioning p = net::make_partitioning(topo, 64, 4);
   for (int src = 0; src < 64; src += 7) {
     for (int dst = 0; dst < 64; dst += 11) {
       if (src == dst) continue;
@@ -72,7 +76,7 @@ TEST(Partitioning, EndpointHopsNeverCrossPartitions) {
 TEST(Partitioning, ClampsToPopulatedLeaves) {
   const net::FatTreeTopology topo(4, 3);
   // 6 nodes occupy 2 leaf switches: cannot slice thinner than one leaf.
-  const par::Partitioning p = par::make_partitioning(topo, 6, 8);
+  const net::Partitioning p = net::make_partitioning(topo, 6, 8);
   EXPECT_EQ(p.parts, 2);
 }
 
@@ -200,6 +204,57 @@ TEST(ParCluster, RejectsUnsupportedFaultPlans) {
   EXPECT_THROW(par::ParCluster{cc}, std::invalid_argument);
 }
 
+TEST(ParCluster, RejectsLinkWindowsOutsideTheFabric) {
+  // The serial tier throws for these plans; the parallel tier must not
+  // silently run them fault-free.
+  for (const net::LinkRef& link :
+       {net::LinkRef::endpoint(99),
+        net::LinkRef::between(net::SwitchCoord{0, 0}, net::SwitchCoord{0, 1})}) {
+    core::ClusterConfig cc = core::elan_cluster(16);
+    cc.env_overrides = false;
+    cc.faults.link_windows.push_back({link, sim::Time::us(1), sim::Time::zero()});
+    EXPECT_THROW(par::ParCluster{cc}, std::invalid_argument) << link.to_string();
+  }
+}
+
+/// Sets an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.empty()) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, old_.c_str(), 1);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
+TEST(ParCluster, ParThreadsEnvMustBePositiveInt) {
+  core::ClusterConfig cc = core::elan_cluster(16);
+  cc.env_overrides = true;
+  for (const char* bad : {"abc", "0", "-3", "99999999999", "2x", ""}) {
+    const ScopedEnv env("ICSIM_PAR_THREADS", bad);
+    try {
+      par::ParCluster cluster(cc);
+      ADD_FAILURE() << "accepted ICSIM_PAR_THREADS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ICSIM_PAR_THREADS"),
+                std::string::npos);
+    }
+  }
+  const ScopedEnv env("ICSIM_PAR_THREADS", "2");
+  par::ParCluster cluster(cc);
+  EXPECT_EQ(cluster.threads_used(), 2);
+}
+
 TEST(ParCluster, RejectsMultipleRanksPerNode) {
   core::ClusterConfig cc = core::elan_cluster(16, /*ppn=*/2);
   cc.env_overrides = false;
@@ -225,40 +280,156 @@ TEST(ParCollectives, ElanBeatsInfinibandAndLatencyGrowsWithScale) {
   EXPECT_GT(el256, el64);  // log2(n) rounds: latency grows with scale
 }
 
-TEST(ShardedFabric, UncontendedChunkMatchesNetFabricTiming) {
-  // Same FabricConfig, same route, one chunk: the sharded fabric must
-  // reproduce net::Fabric's delivery instant exactly — partitioning is an
-  // execution strategy, not a different model.
-  const net::FabricConfig fc = core::fabric_config_for(core::Network::quadrics, 64);
+/// What one run of the fabric equivalence pattern observed.
+struct FabricRun {
+  std::vector<sim::Time> delivered_at;  ///< per chunk, in injection order
+  std::uint64_t sent = 0, delivered = 0, dropped = 0, rerouted = 0;
+  std::uint64_t cross_posts = 0;
+  sim::Time max_busy = sim::Time::zero();
+};
 
-  sim::Engine ref_engine;
-  net::Fabric ref(ref_engine, fc, 64);
-  sim::Time ref_delivery = sim::Time::zero();
-  (void)ref.inject(3, 60, 1024, [&](net::DeliveryStatus st) {
-    ASSERT_EQ(st, net::DeliveryStatus::delivered);
-    ref_delivery = ref_engine.now();
-  });
-  (void)ref_engine.run();
+/// Many-to-one: every sender pushes `chunks` 2 KiB chunks back to back at
+/// dst, sender i starting at i * stagger, through a fabric split into
+/// `parts` partitions (1 = the serial fabric on a plain sim::Engine).
+FabricRun run_many_to_one(int parts, const std::vector<net::LinkDownWindow>& windows,
+                          sim::Time stagger) {
+  ScopedCheck armed(true);
+  const int nodes = 64, dst = 37, chunks = 3;
+  const std::vector<int> senders = {0, 5, 13, 22, 36, 38, 50, 63};
+  const net::FabricConfig fc =
+      core::fabric_config_for(core::Network::quadrics, nodes);
+  FabricRun out;
+  out.delivered_at.assign(senders.size() * chunks, sim::Time::zero());
 
+  auto inject_all = [&](net::Fabric& fabric, auto engine_of) {
+    for (std::size_t s = 0; s < senders.size(); ++s) {
+      const int src = senders[s];
+      engine_of(src).post_at(stagger * static_cast<double>(s), [&, s, src] {
+        for (int c = 0; c < chunks; ++c) {
+          sim::Time* slot = &out.delivered_at[s * chunks + c];
+          sim::Engine* at_dst = &engine_of(dst);
+          (void)fabric.inject(src, dst, 2048,
+                              [slot, at_dst](net::DeliveryStatus st) {
+                                ASSERT_EQ(st, net::DeliveryStatus::delivered);
+                                *slot = at_dst->now();
+                              });
+        }
+      });
+    }
+  };
+  auto collect = [&](const net::Fabric& fabric) {
+    fabric.audit_drained();
+    out.sent = fabric.chunks_sent();
+    out.delivered = fabric.chunks_delivered();
+    out.dropped = fabric.chunks_dropped_link_down();
+    out.rerouted = fabric.chunks_rerouted();
+    out.max_busy = fabric.max_link_busy_time();
+  };
+
+  if (parts == 1) {
+    sim::Engine engine;
+    net::Fabric fabric(engine, fc, nodes);
+    fabric.set_link_windows(windows);
+    inject_all(fabric, [&](int) -> sim::Engine& { return engine; });
+    (void)engine.run();
+    collect(fabric);
+    return out;
+  }
+  net::FabricPartitions fp;
+  fp.map = net::make_partitioning(net::FatTreeTopology(fc.radix_down, fc.levels),
+                                  nodes, parts);
   par::ParConfig pc;
-  pc.partitions = 4;
+  pc.partitions = fp.map.parts;
   pc.threads = 2;
-  pc.lookahead = par::ShardedFabric::lookahead_of(fc);
+  pc.lookahead = net::Fabric::lookahead_of(fc);
   par::ParEngine pe(pc);
-  const net::FatTreeTopology topo(fc.radix_down, fc.levels);
-  par::ShardedFabric sharded(pe, fc, 64, par::make_partitioning(topo, 64, 4));
-  sim::Time par_delivery = sim::Time::zero();
-  const int src_part = sharded.partitioning().of_node(3);
-  const int dst_part = sharded.partitioning().of_node(60);
-  ASSERT_NE(src_part, dst_part);  // the route genuinely crosses partitions
-  pe.shard(src_part).post_at(sim::Time::zero(), [&] {
-    sharded.inject(3, 60, 1024,
-                   [&] { par_delivery = pe.shard(dst_part).now(); });
+  for (int p = 0; p < pc.partitions; ++p) fp.engines.push_back(&pe.shard(p));
+  fp.post_cross = std::bind_front(&par::ParEngine::post_cross, &pe);
+  const net::Partitioning map = fp.map;
+  net::Fabric fabric(std::move(fp), fc, nodes);
+  fabric.set_link_windows(windows);
+  inject_all(fabric, [&](int node) -> sim::Engine& {
+    return pe.shard(map.of_node(node));
   });
   pe.run();
-  sharded.audit_drained();
-  EXPECT_EQ(par_delivery, ref_delivery);
-  EXPECT_GT(pe.cross_posts(), 0u);
+  collect(fabric);
+  out.cross_posts = pe.cross_posts();
+  return out;
+}
+
+void expect_same_counters(const FabricRun& a, const FabricRun& b, int parts) {
+  EXPECT_EQ(a.sent, b.sent) << "parts=" << parts;
+  EXPECT_EQ(a.delivered, b.delivered) << "parts=" << parts;
+  EXPECT_EQ(a.dropped, b.dropped) << "parts=" << parts;
+  EXPECT_EQ(a.rerouted, b.rerouted) << "parts=" << parts;
+  EXPECT_EQ(a.max_busy, b.max_busy) << "parts=" << parts;
+}
+
+/// A spine cable on the default route 0 -> 37, down for the whole run.
+net::LinkDownWindow spine_window() {
+  const net::FatTreeTopology topo(4, 3);
+  net::LinkDownWindow w;  // up <= down: down forever
+  for (const net::Hop& h : topo.route(0, 37)) {
+    if (h.kind == net::Hop::Kind::switch_to_switch && h.to.level == 2) {
+      w.link = net::LinkRef::between(h.from, h.to);
+    }
+  }
+  return w;
+}
+
+// Senders start 1013 ps apart, so no two chunks ever reach a link at the
+// same instant; TiedArrivalsKeepTheSameDeliverySlots covers the case where
+// they do.
+const sim::Time kStagger = sim::Time::ps(1013);
+
+TEST(PartitionedFabric, ContendedManyToOneMatchesAcrossPartitionCounts) {
+  // Partitioning is an execution strategy, not a different model: the same
+  // contended traffic must deliver every chunk at the same instant whether
+  // the fabric runs serially or split over 4 or 8 partitions.
+  const FabricRun serial = run_many_to_one(1, {}, kStagger);
+  EXPECT_EQ(serial.delivered, 24u);
+  for (const int parts : {4, 8}) {
+    const FabricRun split = run_many_to_one(parts, {}, kStagger);
+    EXPECT_EQ(serial.delivered_at, split.delivered_at) << "parts=" << parts;
+    expect_same_counters(serial, split, parts);
+    EXPECT_GT(split.cross_posts, 0u);  // routes genuinely cross partitions
+  }
+}
+
+TEST(PartitionedFabric, SpineWindowReroutesIdenticallyAcrossPartitionCounts) {
+  // A spine cable down for the whole run forces reroutes at injection; the
+  // alternate climbs must also match the serial fabric chunk for chunk.
+  const net::LinkDownWindow w = spine_window();
+  ASSERT_EQ(w.link.kind, net::LinkRef::Kind::switch_pair);
+  const FabricRun serial = run_many_to_one(1, {w}, kStagger);
+  EXPECT_GT(serial.rerouted, 0u);
+  EXPECT_EQ(serial.delivered, 24u);
+  for (const int parts : {4, 8}) {
+    const FabricRun split = run_many_to_one(parts, {w}, kStagger);
+    EXPECT_EQ(serial.delivered_at, split.delivered_at) << "parts=" << parts;
+    expect_same_counters(serial, split, parts);
+  }
+}
+
+TEST(PartitionedFabric, TiedArrivalsKeepTheSameDeliverySlots) {
+  // All senders start at t = 0, so chunks from different partitions reach
+  // a shared link at the same instant.  The serial engine queues them in
+  // posting order, the parallel engine in its canonical cross-post order
+  // (time, source partition, sequence), so two tied chunks may trade their
+  // slots.  The set of delivery instants and every counter still match.
+  for (const bool spine : {false, true}) {
+    std::vector<net::LinkDownWindow> windows;
+    if (spine) windows.push_back(spine_window());
+    FabricRun serial = run_many_to_one(1, windows, sim::Time::zero());
+    std::sort(serial.delivered_at.begin(), serial.delivered_at.end());
+    for (const int parts : {4, 8}) {
+      FabricRun split = run_many_to_one(parts, windows, sim::Time::zero());
+      std::sort(split.delivered_at.begin(), split.delivered_at.end());
+      EXPECT_EQ(serial.delivered_at, split.delivered_at)
+          << "parts=" << parts << " spine=" << spine;
+      expect_same_counters(serial, split, parts);
+    }
+  }
 }
 
 TEST(Concurrency, ClampHonorsRequestWithoutAPoolAndDividesUnderOne) {

@@ -33,7 +33,7 @@
 //
 // Lambdas are found both as direct sink arguments and as named locals
 // (`auto cont = [...]; ... post_cross(p, q, t, std::move(cont));` — the
-// ShardedFabric::forward shape).
+// partitioned net::Fabric::forward shape).
 
 #include <algorithm>
 #include <map>

@@ -14,12 +14,13 @@
 //       cross-partition event closer than one lookahead window would break
 //       the barrier-window protocol's safety argument (the runtime
 //       ICSIM_CHECK only sees exercised paths).
-//   (B) shard indexing — in the partitioned tier (src/par/ and par_*
-//       fixtures), every write to a site the manifest classifies `shard`
-//       must be subscripted by a single executing-partition identifier
-//       (casts and parens stripped).  An unsubscripted write or index
-//       arithmetic (`state[self + 1]`) is a cross-partition mutation that
-//       bypasses post_cross.
+//   (B) shard indexing — in the partitioned tier (src/par/, par_*
+//       fixtures, and any translation unit that calls post_cross, such as
+//       the partitioned net::Fabric), every write to a site the manifest
+//       classifies `shard` must be subscripted by a single
+//       executing-partition identifier (casts and parens stripped).  An
+//       unsubscripted write or index arithmetic (`state[self + 1]`) is a
+//       cross-partition mutation that bypasses post_cross.
 //   (C) guarded-by inference — when some writer of a site locks an
 //       adjacent sync primitive, *every* writer must hold that guard:
 //       either it locks the mutex itself or every call path reaching it
@@ -73,10 +74,17 @@ bool cast_noise(const Token& tok) {
 
 }  // namespace
 
-bool partition_tier(const std::string& file) {
-  if (file.find("/par/") != std::string::npos) return true;
-  const std::string base = basename_of(file);
-  return base.rfind("par_", 0) == 0;
+bool partition_tier(const TranslationUnit& tu) {
+  if (tu.file.find("/par/") != std::string::npos) return true;
+  if (basename_of(tu.file).rfind("par_", 0) == 0) return true;
+  // Wherever it lives, code that hands work across partitions runs in
+  // the partitioned tier.
+  for (const auto& fn : tu.functions) {
+    for (const auto& call : fn.calls) {
+      if (call.callee == "post_cross") return true;
+    }
+  }
+  return false;
 }
 
 IndexShape write_index_shape(const TranslationUnit& tu, const WriteSite& w) {
@@ -123,7 +131,7 @@ class LookaheadScan {
 
   void run() {
     // Seed: functions whose very name declares lookahead semantics
-    // (ShardedFabric::lookahead_of, ParEngine::lookahead()).
+    // (net::Fabric::lookahead_of, ParEngine::lookahead()).
     for (const auto& tu : p_.tus) {
       for (const auto& fn : tu.functions) {
         if (fn.is_definition && lookahead_named(fn.name)) {
@@ -327,7 +335,7 @@ void shard_index_check(const Project& p,
   for (const auto& site : manifest) {
     if (site.cls != PartitionClass::shard) continue;
     for (const auto& wr : writers_of(p, site)) {
-      if (!partition_tier(wr.tu->file)) continue;
+      if (!partition_tier(*wr.tu)) continue;
       const IndexShape shape = write_index_shape(*wr.tu, *wr.w);
       if (shape == IndexShape::simple) continue;
       const std::string detail =

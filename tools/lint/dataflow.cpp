@@ -302,7 +302,7 @@ void shared_state_pass(const Project& project, const Reachability& reach,
             // per-partition instance realized; cross-shard-conformance
             // polices the index, so the blanket finding would be noise.
             const bool sharded_access =
-                cls == PartitionClass::shard && partition_tier(tu.file) &&
+                cls == PartitionClass::shard && partition_tier(tu) &&
                 write_index_shape(tu, w) == IndexShape::simple;
             if (cls != PartitionClass::lock && !sharded_access) {
               report(diags, tu, w.line, "shared-state", v.name,

@@ -95,10 +95,11 @@ void run_partition_rules(const Project& project, std::vector<Diagnostic>& diags,
 /// cancellation; by-value captures are clean (docs/MODEL.md §15).
 void run_closure_rules(const Project& project, std::vector<Diagnostic>& diags);
 
-/// True when `file` belongs to the partitioned tier — src/par/ sources and
-/// par_*-named fixtures — where sharded-by-index access to shard-classified
-/// state is legal and policed by cross-shard-conformance.
-[[nodiscard]] bool partition_tier(const std::string& file);
+/// True when `tu` belongs to the partitioned tier — src/par/ sources,
+/// par_*-named fixtures, and any unit that calls post_cross — where
+/// sharded-by-index access to shard-classified state is legal and policed
+/// by cross-shard-conformance.
+[[nodiscard]] bool partition_tier(const TranslationUnit& tu);
 
 /// Shape of the subscript on a write site: `none` (unsubscripted), `simple`
 /// (a single identifier or member chain, modulo casts/parens — the
