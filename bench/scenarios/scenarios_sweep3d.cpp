@@ -7,6 +7,7 @@
 // different grid sizes lie close together and decay smoothly — no jump.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/sweep3d/sweep.hpp"
@@ -117,8 +118,12 @@ void register_fig5_sweep3d_inputs(driver::Registry& reg) {
 
   for (const int grid : grids) {
     for (const int nodes : node_counts) {
-      reg.add("fig5_sweep3d_inputs",
-              "g" + std::to_string(grid) + "/" + std::to_string(nodes) + "n",
+      std::string name = "g";
+      name += std::to_string(grid);
+      name += '/';
+      name += std::to_string(nodes);
+      name += 'n';
+      reg.add("fig5_sweep3d_inputs", std::move(name),
               [grid, nodes]() {
                 apps::sweep::SweepConfig sc;
                 sc.nx = sc.ny = sc.nz = grid;

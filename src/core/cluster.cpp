@@ -352,7 +352,7 @@ void Cluster::write_trace_files(sim::Time elapsed) {
 
 sim::Time Cluster::run(const std::function<void(mpi::Mpi&)>& rank_main) {
   if (cfg_.intra_run_threads > 1) {
-    // The fiber tier cannot honor the knob: ucontext fibers must resume on
+    // The fiber tier cannot honor the knob: its fibers must resume on
     // their creating thread, and transport callbacks touch source- and
     // destination-side state in one engine.  Refuse loudly instead of
     // silently running serial — intra-run parallelism lives in

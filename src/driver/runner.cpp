@@ -183,38 +183,58 @@ SweepReport run_sweep(const Registry& registry,
 }
 
 std::string SweepReport::to_json() const {
-  std::string out = "{\n  \"groups\": [";
+  std::string out;
+  out.reserve(4096);
+  out += "{\n  \"groups\": [";
   bool first_g = true;
   for (const auto& g : groups) {
     out += first_g ? "\n" : ",\n";
     first_g = false;
-    out += "    {\"name\": \"" + json_escape(g.name) + "\", \"title\": \"" +
-           json_escape(g.title) + "\",\n     \"points\": [";
+    out += "    {\"name\": \"";
+    out += json_escape(g.name);
+    out += "\", \"title\": \"";
+    out += json_escape(g.title);
+    out += "\",\n     \"points\": [";
     for (std::size_t i = 0; i < g.points.size(); ++i) {
       const PointResult& p = g.points[i];
       out += i == 0 ? "\n" : ",\n";
-      out += "      {\"name\": \"" + json_escape(g.point_names[i]) + "\"";
+      out += "      {\"name\": \"";
+      out += json_escape(g.point_names[i]);
+      out += '"';
       if (!p.error.empty()) {
-        out += ", \"error\": \"" + json_escape(p.error) + "\"}";
+        out += ", \"error\": \"";
+        out += json_escape(p.error);
+        out += "\"}";
         continue;
       }
-      out += ", \"events\": " + std::to_string(p.events) + ", \"digest\": \"" +
-             hex64(p.digest) + "\", \"metrics\": {";
+      out += ", \"events\": ";
+      out += std::to_string(p.events);
+      out += ", \"digest\": \"";
+      out += hex64(p.digest);
+      out += "\", \"metrics\": {";
       for (std::size_t m = 0; m < p.metrics.size(); ++m) {
         if (m != 0) out += ", ";
-        out += "\"" + json_escape(p.metrics[m].name) +
-               "\": " + num(p.metrics[m].value);
+        out += '"';
+        out += json_escape(p.metrics[m].name);
+        out += "\": ";
+        out += num(p.metrics[m].value);
       }
       out += "}}";
     }
     out += "\n     ],\n     \"summary\": [";
     for (std::size_t s = 0; s < g.summary.size(); ++s) {
       if (s != 0) out += ", ";
-      out += "\"" + json_escape(g.summary[s]) + "\"";
+      out += '"';
+      out += json_escape(g.summary[s]);
+      out += '"';
     }
-    out += "],\n     \"digest\": \"" + hex64(g.digest) + "\"}";
+    out += "],\n     \"digest\": \"";
+    out += hex64(g.digest);
+    out += "\"}";
   }
-  out += "\n  ],\n  \"digest\": \"" + hex64(digest) + "\"\n}\n";
+  out += "\n  ],\n  \"digest\": \"";
+  out += hex64(digest);
+  out += "\"\n}\n";
   return out;
 }
 

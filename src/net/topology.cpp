@@ -180,9 +180,22 @@ bool LinkRef::same_cable(const LinkRef& other) const {
 }
 
 std::string LinkRef::to_string() const {
-  if (kind == Kind::node) return "n" + std::to_string(node);
-  return "s" + std::to_string(a.level) + "." + std::to_string(a.word) + "-" +
-         std::to_string(b.level) + "." + std::to_string(b.word);
+  std::string out;
+  out.reserve(24);
+  if (kind == Kind::node) {
+    out += 'n';
+    out += std::to_string(node);
+    return out;
+  }
+  out += 's';
+  out += std::to_string(a.level);
+  out += '.';
+  out += std::to_string(a.word);
+  out += '-';
+  out += std::to_string(b.level);
+  out += '.';
+  out += std::to_string(b.word);
+  return out;
 }
 
 }  // namespace icsim::net

@@ -2,7 +2,7 @@
 // Event-driven collective workloads for the parallel engine.
 //
 // The fiber-based MPI tier (src/mpi/ + core::Cluster::run) cannot be
-// partitioned: its ucontext fibers must resume on the thread that created
+// partitioned: its rank fibers must resume on the thread that created
 // them, and the transports' completion callbacks touch source- and
 // destination-side state in one engine.  The parallel tier therefore runs
 // collectives as *rank state machines*: each rank is plain per-partition

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -152,10 +153,12 @@ TEST(Engine, CountsProcessedEvents) {
 TEST(Engine, DeterministicAcrossRuns) {
   auto run_once = [] {
     Engine e;
-    std::int64_t checksum = 0;
+    // Unsigned, so the multiply wraps instead of overflowing.
+    std::uint64_t checksum = 0;
     for (int i = 0; i < 100; ++i) {
       e.schedule_at(Time::us((i * 37) % 50), [&checksum, &e, i] {
-        checksum = checksum * 31 + i + e.now().picoseconds() % 1000;
+        checksum = checksum * 31 + static_cast<std::uint64_t>(i) +
+                   static_cast<std::uint64_t>(e.now().picoseconds() % 1000);
       });
     }
     e.run();

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/blocking.hpp"
@@ -99,6 +105,127 @@ TEST(Fiber, DeepStackUsageWorks) {
   });
   f.resume();
   EXPECT_TRUE(done);
+}
+
+TEST(Fiber, ExceptionAfterYieldPropagatesOutOfResume) {
+  Fiber f([] {
+    Fiber::yield();
+    throw std::runtime_error("after yield");
+  });
+  f.resume();
+  EXPECT_FALSE(f.finished());
+  EXPECT_THROW(f.resume(), std::runtime_error);
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+// 1/3 rounded under the active SSE rounding mode; volatile keeps the
+// division at run time.
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(Fiber, RoundingModeStaysWithTheFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  int mode_before_yield = -1;
+  int mode_after_yield = -1;
+  double up_after_yield = 0.0;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    mode_before_yield = std::fegetround();
+    Fiber::yield();
+    mode_after_yield = std::fegetround();
+    up_after_yield = third();
+    std::fesetround(FE_TONEAREST);
+  });
+  f.resume();
+  const int resumer_mode = std::fegetround();
+  const double resumer_third = third();
+  f.resume();
+  std::fesetround(FE_TONEAREST);  // in case the mode leaked after all
+  EXPECT_EQ(mode_before_yield, FE_UPWARD);
+  EXPECT_EQ(resumer_mode, FE_TONEAREST);
+  EXPECT_EQ(resumer_third, nearest);
+  EXPECT_EQ(mode_after_yield, FE_UPWARD);
+  EXPECT_GT(up_after_yield, nearest);
+}
+
+// A misaligned first frame breaks alignas(16) locals and the movaps that
+// printf-family code uses for floating-point arguments.
+[[gnu::noinline]] bool aligned_local_and_snprintf(std::string& printed) {
+  alignas(16) volatile char probe[16] = {};
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%f", 2.5);
+  printed = buf;
+  return reinterpret_cast<std::uintptr_t>(&probe[0]) % 16 == 0;
+}
+
+TEST(Fiber, FirstFrameIsSixteenByteAligned) {
+  bool aligned = false;
+  std::string printed;
+  Fiber f([&] { aligned = aligned_local_and_snprintf(printed); });
+  f.resume();
+  EXPECT_TRUE(aligned);
+  EXPECT_EQ(printed, "2.500000");
+}
+
+TEST(Fiber, SuspendedUnfinishedFiberCanBeDestroyed) {
+  int steps = 0;
+  auto f = std::make_unique<Fiber>([&steps] {
+    for (;;) {
+      ++steps;
+      Fiber::yield();
+    }
+  });
+  f->resume();
+  f->resume();
+  EXPECT_FALSE(f->finished());
+  f.reset();
+  EXPECT_EQ(steps, 2);
+  // A fiber created afterwards (possibly on the same addresses) still runs.
+  bool ran = false;
+  Fiber g([&ran] {
+    Fiber::yield();
+    ran = true;
+  });
+  g.resume();
+  g.resume();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Fiber, NestedResumeWithExceptionInInnerFiber) {
+  std::vector<int> order;
+  std::string caught;
+  Fiber inner([&] {
+    order.push_back(2);
+    Fiber::yield();
+    throw std::runtime_error("inner");
+  });
+  Fiber outer([&] {
+    order.push_back(1);
+    inner.resume();
+    order.push_back(3);
+    try {
+      inner.resume();
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(Fiber::current(), &outer);
+    order.push_back(4);
+    Fiber::yield();
+    throw std::logic_error("outer");
+  });
+  outer.resume();
+  EXPECT_EQ(caught, "inner");
+  EXPECT_TRUE(inner.finished());
+  EXPECT_FALSE(outer.finished());
+  EXPECT_THROW(outer.resume(), std::logic_error);
+  EXPECT_TRUE(outer.finished());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(Fiber::current(), nullptr);
 }
 
 TEST(Blocking, SleepForAdvancesSimTime) {
