@@ -142,7 +142,7 @@ fault::LinkRef victim_cable(core::Network net, const FlowSet& fs) {
   core::Cluster cluster(cluster_for(net, fs.nodes));
   const auto& topo = cluster.fabric().topology();
   const auto& [src, dst] = fs.flows[1];
-  for (const auto& h : topo.route(src, dst)) {
+  for (const auto& h : topo.hops(topo.route(src, dst))) {
     if (h.kind == net::Hop::Kind::switch_to_switch &&
         h.to.level > h.from.level) {
       return fault::LinkRef::between(h.from, h.to);

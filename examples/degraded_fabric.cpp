@@ -75,7 +75,7 @@ fault::LinkRef cross_leaf_cable(core::Network net) {
   // one.  Both are hops the periodic ring actually takes.
   const int src = net == core::Network::infiniband ? 11 : 3;
   const int dst = net == core::Network::infiniband ? 12 : 4;
-  for (const auto& h : topo.route(src, dst)) {
+  for (const auto& h : topo.hops(topo.route(src, dst))) {
     if (h.kind == net::Hop::Kind::switch_to_switch &&
         h.to.level > h.from.level) {
       return fault::LinkRef::between(h.from, h.to);

@@ -1,12 +1,14 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "myrinet/gm.hpp"
 #include "replay/capture.hpp"
@@ -35,6 +37,21 @@ std::string sibling(const std::string& path, const char* suffix) {
   const bool has_ext = dot != std::string::npos &&
                        (slash == std::string::npos || dot > slash);
   return (has_ext ? path.substr(0, dot) : path) + suffix;
+}
+
+/// ICSIM_TRACE_EVENTS must be a whole positive count that a power-of-two
+/// ring can hold; reject the rest rather than guess a ring size.
+[[nodiscard]] std::size_t parse_trace_events(std::string_view text) {
+  std::size_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 1 ||
+      v > trace::RingBufferSink::kMaxCapacity) {
+    throw std::invalid_argument("ICSIM_TRACE_EVENTS='" + std::string(text) +
+                                "': expected a positive integer a "
+                                "power-of-two ring can hold");
+  }
+  return v;
 }
 
 }  // namespace
@@ -69,7 +86,7 @@ Cluster::Cluster(const ClusterConfig& config) : cfg_(config) {
     if (const char* env = std::getenv("ICSIM_TRACE"); env != nullptr && *env != '\0') {
       path = env;
       if (const char* n = std::getenv("ICSIM_TRACE_EVENTS"); n != nullptr) {
-        events = static_cast<std::size_t>(std::strtoull(n, nullptr, 10));
+        events = parse_trace_events(n);
       }
     }
   }

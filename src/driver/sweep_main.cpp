@@ -1,10 +1,11 @@
 #include "driver/sweep_main.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/runner.hpp"
@@ -27,6 +28,19 @@ void usage(const char* prog) {
                "  --progress     per-point completion lines on stderr\n"
                "  --quiet        suppress console tables\n",
                prog);
+}
+
+/// -j takes a whole non-negative int; "abc", "-3" and "2x" are errors, not
+/// 0 (all hardware threads) or 2.
+bool parse_jobs(std::string_view text, int& jobs) {
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 0) {
+    return false;
+  }
+  jobs = v;
+  return true;
 }
 
 bool write_file_or_stdout(const std::string& path, const std::string& body) {
@@ -65,12 +79,16 @@ int sweep_main(const Registry& registry, int argc, char** argv) {
       quiet = true;
     } else if (arg == "--progress") {
       opt.progress = true;
-    } else if (arg == "-j") {
-      const char* v = need_value("-j");
+    } else if (arg.rfind("-j", 0) == 0) {
+      const char* v = arg == "-j" ? need_value("-j") : argv[i] + 2;
       if (v == nullptr) return 2;
-      opt.jobs = std::atoi(v);
-    } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-      opt.jobs = std::atoi(arg.c_str() + 2);
+      if (!parse_jobs(v, opt.jobs)) {
+        std::fprintf(stderr,
+                     "%s: -j needs a non-negative integer thread count, got "
+                     "'%s'\n",
+                     argv[0], v);
+        return 2;
+      }
     } else if (arg == "--json") {
       const char* v = need_value("--json");
       if (v == nullptr) return 2;

@@ -69,13 +69,10 @@ Fabric::DirectedLink& Fabric::link_for(int p, const Hop& hop) {
   const std::uint64_t key = key_of(hop);
   auto it = links.find(key);
   if (it == links.end()) {
-    it = links
-             .emplace(key, std::make_unique<DirectedLink>(
-                               engine(p), link_name(hop), hop))
-             .first;
-    if (hooks_ != nullptr) it->second->ber = hooks_->link_ber(hop);
+    it = links.try_emplace(key, engine(p), link_name(hop), hop).first;
+    if (hooks_ != nullptr) it->second.ber = hooks_->link_ber(hop);
   }
-  return *it->second;
+  return it->second;
 }
 
 void Fabric::set_fault_hooks(FaultHooks* hooks) {
@@ -87,7 +84,7 @@ void Fabric::set_fault_hooks(FaultHooks* hooks) {
   hooks_ = hooks;
   for (auto& [key, link] : shards_.front().links) {
     (void)key;
-    link->ber = hooks_ != nullptr ? hooks_->link_ber(link->hop) : 0.0;
+    link.ber = hooks_ != nullptr ? hooks_->link_ber(link.hop) : 0.0;
   }
 }
 
@@ -157,10 +154,9 @@ void Fabric::audit_drained() const {
               "fabric byte conservation: injected != delivered + dropped");
 }
 
-void Fabric::forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
-                     std::uint32_t bytes, DeliveryFn on_complete,
-                     sim::Time* first_tx_done) {
-  const Hop& hop = (*route)[index];
+void Fabric::forward(Route route, int index, std::uint32_t bytes,
+                     DeliveryFn on_complete, sim::Time* first_tx_done) {
+  const Hop hop = topo_.hop(route, index);
   const int p = owner(hop);
   sim::Engine& eng = engine(p);
 
@@ -214,15 +210,15 @@ void Fabric::forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
   const sim::Time arrival = tx_done + cfg_.wire_latency + entry_latency;
   // The final hop is switch_to_node, owned by the destination's partition,
   // so delivery is always local to p.
-  const bool last = index + 1 == route->size();
-  const int next = last ? p : owner((*route)[index + 1]);
-  auto cont = [this, route = std::move(route), index, bytes,
-               on_complete = std::move(on_complete), last, p]() mutable {
+  const bool last = index + 1 == route.hops();
+  const int next =
+      last || shards_.size() == 1 ? p : owner(topo_.hop(route, index + 1));
+  auto cont = [this, route, index, bytes, on_complete = std::move(on_complete),
+               last, p]() mutable {
     if (last) {
       finish(p, on_complete, DeliveryStatus::delivered, bytes);
     } else {
-      forward(std::move(route), index + 1, bytes, std::move(on_complete),
-              nullptr);
+      forward(route, index + 1, bytes, std::move(on_complete), nullptr);
     }
   };
   if (next == p) {
@@ -238,43 +234,36 @@ sim::Time Fabric::inject(int src, int dst, std::uint32_t bytes,
                          DeliveryFn on_complete) {
   assert(src != dst && "Fabric::inject: local sends bypass the fabric");
   assert(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
-  std::vector<Hop> path = topo_.route(src, dst);
-  const int p = owner(path.front());  // src's partition
+  const Route def = topo_.route(src, dst);
+  const int p = owner(topo_.hop(def, 0));  // src's partition
   Shard& sh = shards_[static_cast<std::size_t>(p)];
   sim::Engine& eng = engine(p);
   ++sh.chunks;
   ++sh.in_flight;
   sh.bytes_injected += bytes;
+  Route route = def;
   if (!windows_.empty()) {
     const sim::Time now = eng.now();
-    bool blocked = false;
-    for (const Hop& hop : path) {
-      if (link_down_at(hop, now)) {
-        blocked = true;
-        break;
-      }
+    const std::optional<Route> up =
+        topo_.route_avoiding(src, dst, [this, now](const Hop& hop) {
+          return link_down_at(hop, now);
+        });
+    if (!up) {
+      // Fabric partitioned (endpoint cable down, or every climb blocked):
+      // nothing a switch can do — the chunk is lost at the source port.
+      eng.post_in(sim::Time::zero(),
+                  [this, p, bytes,
+                   on_complete = std::move(on_complete)]() mutable {
+                    ++shards_[static_cast<std::size_t>(p)].no_route_drops;
+                    finish(p, on_complete, DeliveryStatus::link_down, bytes);
+                  });
+      return now;
     }
-    if (blocked) {
-      path = topo_.route_avoiding(src, dst, [this, now](const Hop& hop) {
-        return link_down_at(hop, now);
-      });
-      if (path.empty()) {
-        // Fabric partitioned (endpoint cable down, or every climb blocked):
-        // nothing a switch can do — the chunk is lost at the source port.
-        eng.post_in(sim::Time::zero(),
-                    [this, p, bytes,
-                     on_complete = std::move(on_complete)]() mutable {
-                      ++shards_[static_cast<std::size_t>(p)].no_route_drops;
-                      finish(p, on_complete, DeliveryStatus::link_down, bytes);
-                    });
-        return now;
-      }
-      ++sh.rerouted;
-    }
+    if (up->top != def.top) ++sh.rerouted;
+    route = *up;
   }
-  auto route = std::make_shared<std::vector<Hop>>(std::move(path));
   sim::Time tx_done = sim::Time::zero();
-  forward(std::move(route), 0, bytes, std::move(on_complete), &tx_done);
+  forward(route, 0, bytes, std::move(on_complete), &tx_done);
   return tx_done;
 }
 
@@ -283,7 +272,7 @@ sim::Time Fabric::max_link_busy_time() const {
   for (const Shard& sh : shards_) {
     for (const auto& [key, link] : sh.links) {
       (void)key;
-      if (link->tx.busy_time() > best) best = link->tx.busy_time();
+      if (link.tx.busy_time() > best) best = link.tx.busy_time();
     }
   }
   return best;
@@ -320,9 +309,9 @@ void Fabric::publish_metrics(trace::MetricsRegistry& m,
   for (const Shard& sh : shards_) {
     for (const auto& [key, link] : sh.links) {
       (void)key;
-      busy.add(link->tx.busy_time().to_us());
+      busy.add(link.tx.busy_time().to_us());
       if (span_s > 0.0) {
-        util.add(link->tx.busy_time().to_seconds() / span_s);
+        util.add(link.tx.busy_time().to_seconds() / span_s);
       }
     }
   }
@@ -331,8 +320,8 @@ void Fabric::publish_metrics(trace::MetricsRegistry& m,
     for (const Shard& sh : shards_) {
       for (const auto& [key, link] : sh.links) {
         (void)key;
-        if (link->corrupted > 0) {
-          per_link.add(static_cast<double>(link->corrupted));
+        if (link.corrupted > 0) {
+          per_link.add(static_cast<double>(link.corrupted));
         }
       }
     }

@@ -1,6 +1,12 @@
 #pragma once
 // Packet-level message fabric over a fat tree.
 //
+// A chunk carries its route as a value (topology.hpp's Route) plus the
+// index of the hop it is on, and asks the topology for that hop when it
+// gets there.  Directed links are created on first use and held in their
+// shard's map node; nothing else is allocated per chunk or per hop beyond
+// the event closures.
+//
 // Switches are modeled as output-queued crossbars: each directed link owns a
 // FIFO serialization resource (the output queue + transmitter), and each
 // switch traversal charges a fixed pipeline latency.  A message is injected
@@ -30,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -205,7 +210,7 @@ class Fabric {
   struct alignas(64) Shard {
     // Ordered map: metrics/fault hooks traverse the links, and hash-order
     // traversal would make that event emission nondeterministic.
-    std::map<std::uint64_t, std::unique_ptr<DirectedLink>> links;
+    std::map<std::uint64_t, DirectedLink> links;
     std::uint64_t chunks = 0;
     std::uint64_t delivered = 0;
     std::uint64_t corrupted = 0;
@@ -238,9 +243,8 @@ class Fabric {
   /// Wire bytes of a chunk: payload plus per-MTU-packet headers.
   [[nodiscard]] std::uint64_t wire_bytes(std::uint32_t bytes) const;
 
-  void forward(std::shared_ptr<std::vector<Hop>> route, std::size_t index,
-               std::uint32_t bytes, DeliveryFn on_complete,
-               sim::Time* first_tx_done);
+  void forward(Route route, int index, std::uint32_t bytes,
+               DeliveryFn on_complete, sim::Time* first_tx_done);
   void finish(int p, DeliveryFn& on_complete, DeliveryStatus status,
               std::uint32_t bytes);
 

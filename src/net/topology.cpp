@@ -25,13 +25,6 @@ std::uint32_t FatTreeTopology::digit(std::uint32_t value, int pos) const {
   return (value / pow_k_[static_cast<std::size_t>(pos)]) % static_cast<std::uint32_t>(k_);
 }
 
-std::uint32_t FatTreeTopology::with_digit(std::uint32_t value, int pos,
-                                          std::uint32_t d) const {
-  const std::uint32_t p = pow_k_[static_cast<std::size_t>(pos)];
-  const std::uint32_t old = digit(value, pos);
-  return value - old * p + d * p;
-}
-
 SwitchCoord FatTreeTopology::leaf_switch_of(int node) const {
   assert(node >= 0 && node < capacity_);
   // Leaf switch word = node digits x_{n-1}..x_1, i.e. node / k.
@@ -49,105 +42,67 @@ int FatTreeTopology::ancestor_level(int a, int b) const {
   return lvl;
 }
 
-std::vector<Hop> FatTreeTopology::route(int src, int dst) const {
+Route FatTreeTopology::route(int src, int dst) const {
   if (src == dst) throw std::invalid_argument("FatTreeTopology::route: src == dst");
   assert(src >= 0 && src < capacity_ && dst >= 0 && dst < capacity_);
-
-  std::vector<Hop> hops;
-  const int m = ancestor_level(src, dst);
-  hops.reserve(static_cast<std::size_t>(2 * m + 2));
-
-  SwitchCoord cur = leaf_switch_of(src);
-  hops.push_back(Hop{Hop::Kind::node_to_switch, src, {}, cur});
-
-  const auto udst = static_cast<std::uint32_t>(dst);
-  // Climb: moving from level l to l+1 may change word digit l; D-mod-k picks
-  // the destination's digit so the descent below is already aligned.
-  // Word digit j corresponds to node digit j+1, so at level l we install the
-  // destination's node digit l+1 into word position l.
-  for (int l = 0; l < m; ++l) {
-    SwitchCoord up{l + 1, with_digit(cur.word, l, digit(udst, l + 1))};
-    hops.push_back(Hop{Hop::Kind::switch_to_switch, -1, cur, up});
-    cur = up;
-  }
-  // Descend: from level l to l-1 the word digit l-1 must become the
-  // destination's node digit l; the climb already installed digits below m.
-  for (int l = m; l > 0; --l) {
-    SwitchCoord down{l - 1, with_digit(cur.word, l - 1, digit(udst, l))};
-    hops.push_back(Hop{Hop::Kind::switch_to_switch, -1, cur, down});
-    cur = down;
-  }
-  assert(cur == leaf_switch_of(dst));
-  hops.push_back(Hop{Hop::Kind::switch_to_node, dst, cur, {}});
-  return hops;
+  // D-mod-k: each up-hop installs the destination's digit, so the climb
+  // tops out at dst's own leaf word and the descent keeps it.
+  return Route{src, dst, SwitchCoord{ancestor_level(src, dst), leaf_switch_of(dst).word}};
 }
 
-int FatTreeTopology::switch_hops(int src, int dst) const {
-  return 2 * ancestor_level(src, dst);
+SwitchCoord FatTreeTopology::on_route(const Route& r, int level, int node) const {
+  // Moving between levels l and l+1 changes word digit l only, so below the
+  // top the low `level` digits are the top's and the rest are the leaf's.
+  const std::uint32_t p = pow_k_[static_cast<std::size_t>(level)];
+  const std::uint32_t leaf = leaf_switch_of(node).word;
+  return SwitchCoord{level, r.top.word % p + (leaf - leaf % p)};
 }
 
-std::vector<Hop> FatTreeTopology::route_avoiding(
+Hop FatTreeTopology::hop(const Route& r, int i) const {
+  assert(i >= 0 && i < r.hops());
+  const int m = r.top.level;
+  if (i == 0) {
+    return Hop{Hop::Kind::node_to_switch, r.src, {}, leaf_switch_of(r.src)};
+  }
+  if (i <= m) {
+    return Hop{Hop::Kind::switch_to_switch, -1, on_route(r, i - 1, r.src),
+               on_route(r, i, r.src)};
+  }
+  if (i <= 2 * m) {
+    const int from = 2 * m + 1 - i;
+    return Hop{Hop::Kind::switch_to_switch, -1, on_route(r, from, r.dst),
+               on_route(r, from - 1, r.dst)};
+  }
+  return Hop{Hop::Kind::switch_to_node, r.dst, leaf_switch_of(r.dst), {}};
+}
+
+std::vector<Hop> FatTreeTopology::hops(const Route& r) const {
+  std::vector<Hop> out;
+  out.reserve(static_cast<std::size_t>(r.hops()));
+  for (int i = 0; i < r.hops(); ++i) out.push_back(hop(r, i));
+  return out;
+}
+
+std::optional<Route> FatTreeTopology::route_avoiding(
     int src, int dst, const std::function<bool(const Hop&)>& down) const {
-  if (src == dst) {
-    throw std::invalid_argument("FatTreeTopology::route_avoiding: src == dst");
-  }
-  assert(src >= 0 && src < capacity_ && dst >= 0 && dst < capacity_);
-  const int m = ancestor_level(src, dst);
-  const auto udst = static_cast<std::uint32_t>(dst);
-
-  // Build the route that climbs with word digits climb[0..m) and descends
-  // along the (forced) destination digits.  The descent overwrites word
-  // digits m-1..0 with the destination's node digits m..1 regardless of the
-  // climb, so every climb choice lands on the destination's leaf switch.
-  const auto build = [&](const std::vector<std::uint32_t>& climb) {
-    std::vector<Hop> hops;
-    hops.reserve(static_cast<std::size_t>(2 * m + 2));
-    SwitchCoord cur = leaf_switch_of(src);
-    hops.push_back(Hop{Hop::Kind::node_to_switch, src, {}, cur});
-    for (int l = 0; l < m; ++l) {
-      SwitchCoord up{l + 1, with_digit(cur.word, l, climb[static_cast<std::size_t>(l)])};
-      hops.push_back(Hop{Hop::Kind::switch_to_switch, -1, cur, up});
-      cur = up;
-    }
-    for (int l = m; l > 0; --l) {
-      SwitchCoord desc{l - 1, with_digit(cur.word, l - 1, digit(udst, l))};
-      hops.push_back(Hop{Hop::Kind::switch_to_switch, -1, cur, desc});
-      cur = desc;
-    }
-    assert(cur == leaf_switch_of(dst));
-    hops.push_back(Hop{Hop::Kind::switch_to_node, dst, cur, {}});
-    return hops;
-  };
-  const auto all_up = [&](const std::vector<Hop>& hops) {
-    for (const Hop& hop : hops) {
-      if (down(hop)) return false;
+  const Route def = route(src, dst);
+  const auto all_up = [&](const Route& r) {
+    for (int i = 0; i < r.hops(); ++i) {
+      if (down(hop(r, i))) return false;
     }
     return true;
   };
-
-  std::vector<std::uint32_t> def(static_cast<std::size_t>(m));
-  for (int l = 0; l < m; ++l) {
-    def[static_cast<std::size_t>(l)] = digit(udst, l + 1);
+  if (all_up(def)) return def;
+  // The other tops share the default's digits from the ancestor level up
+  // (src's subtree) and differ in the low ones the climb chose.
+  const std::uint32_t span = pow_k_[static_cast<std::size_t>(def.top.level)];
+  const std::uint32_t first = def.top.word - def.top.word % span;
+  for (std::uint32_t w = first; w < first + span; ++w) {
+    Route alt = def;
+    alt.top.word = w;
+    if (w != def.top.word && all_up(alt)) return alt;
   }
-  if (auto hops = build(def); all_up(hops)) return hops;
-  if (m == 0) return {};  // intra-leaf route is unique
-
-  std::vector<std::uint32_t> climb(static_cast<std::size_t>(m), 0);
-  while (true) {
-    if (climb != def) {
-      if (auto hops = build(climb); all_up(hops)) return hops;
-    }
-    int i = 0;
-    for (; i < m; ++i) {
-      if (++climb[static_cast<std::size_t>(i)] <
-          static_cast<std::uint32_t>(k_)) {
-        break;
-      }
-      climb[static_cast<std::size_t>(i)] = 0;
-    }
-    if (i == m) break;  // wrapped: all k^m climbs tried
-  }
-  return {};
+  return std::nullopt;
 }
 
 bool FatTreeTopology::adjacent(SwitchCoord a, SwitchCoord b) const {

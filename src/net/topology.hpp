@@ -20,9 +20,14 @@
 // forced down-path.  This is the scheme InfiniBand subnet managers and the
 // Elan route tables both approximate, it is deadlock-free, and it spreads
 // load across the spine by destination.
+//
+// A minimal route is therefore fixed by src, dst and the top switch it
+// climbs to, so a Route is that 16-byte value and its hops are computed
+// arithmetically when a layer walks it; no hop list is ever stored.
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +49,19 @@ struct Hop {
   int node = -1;
   SwitchCoord from{};  // valid unless kind == node_to_switch
   SwitchCoord to{};    // valid unless kind == switch_to_node
+};
+
+/// A minimal up/down route: it climbs from src's leaf switch to `top`, a
+/// switch at the ancestor level of src and dst, then descends to dst's leaf
+/// switch.  Those three values fix every hop, which
+/// FatTreeTopology::hop(route, i) computes on demand.
+struct Route {
+  int src = -1;
+  int dst = -1;
+  SwitchCoord top{};
+
+  /// Hops including the two endpoint hops: 2 * top.level + 2.
+  [[nodiscard]] int hops() const { return 2 * top.level + 2; }
 };
 
 /// An undirected link of the tree: either the endpoint cable of one node,
@@ -95,22 +113,29 @@ class FatTreeTopology {
   /// share a leaf switch.
   [[nodiscard]] int ancestor_level(int a, int b) const;
 
-  /// The full directed route src -> dst, including the two endpoint hops.
-  /// src == dst is a contract violation (callers short-circuit self sends).
-  [[nodiscard]] std::vector<Hop> route(int src, int dst) const;
+  /// The default D-mod-k route src -> dst: its top is the switch at the
+  /// ancestor level whose word is dst's leaf word.  src == dst is a contract
+  /// violation (callers short-circuit self sends).
+  [[nodiscard]] Route route(int src, int dst) const;
 
-  /// Number of switch-to-switch hops on the route (2 * ancestor_level).
-  [[nodiscard]] int switch_hops(int src, int dst) const;
+  /// Hop `i` of `r`, 0 <= i < r.hops().  Hop 0 enters src's leaf switch,
+  /// hops 1..m climb to the top, hops m+1..2m descend to dst's leaf, and
+  /// the last hop leaves it for dst.  The switch at level l keeps the top
+  /// word's low l digits and takes the others from its own leaf word: src's
+  /// on the way up, dst's on the way down.
+  [[nodiscard]] Hop hop(const Route& r, int i) const;
+
+  /// Every hop of `r`, in order.
+  [[nodiscard]] std::vector<Hop> hops(const Route& r) const;
 
   /// Like route(), but skip routes that traverse a hop for which `down`
-  /// returns true.  Every minimal route climbs to the ancestor level and
-  /// descends, so the climb digits fully parameterize the k^m alternatives;
-  /// the default D-mod-k route is tried first (fault-free fabrics reroute to
-  /// themselves), then the remaining climbs in lexicographic order.  All
-  /// candidates are up-then-down, so the deadlock-free property is
-  /// preserved.  Returns {} when no fully-up route exists (in particular
-  /// when an endpoint link is down).
-  [[nodiscard]] std::vector<Hop> route_avoiding(
+  /// returns true.  The minimal routes src -> dst are the k^m tops in src's
+  /// level-m subtree (m = ancestor level); the default D-mod-k top is tried
+  /// first (fault-free fabrics reroute to themselves), then the other tops
+  /// in ascending word order.  All candidates are up-then-down, so the
+  /// deadlock-free property is preserved.  Returns nullopt when no fully-up
+  /// route exists (in particular when an endpoint link is down).
+  [[nodiscard]] std::optional<Route> route_avoiding(
       int src, int dst, const std::function<bool(const Hop&)>& down) const;
 
   /// True when the two switches are joined by a cable of the tree.
@@ -125,8 +150,9 @@ class FatTreeTopology {
 
  private:
   [[nodiscard]] std::uint32_t digit(std::uint32_t value, int pos) const;
-  [[nodiscard]] std::uint32_t with_digit(std::uint32_t value, int pos,
-                                         std::uint32_t d) const;
+  /// The switch of `r` at `level` on the side of endpoint `node`.
+  [[nodiscard]] SwitchCoord on_route(const Route& r, int level,
+                                     int node) const;
 
   int k_;
   int n_;

@@ -23,12 +23,8 @@ CollectiveWorld::CollectiveWorld(ParEngine& engine, net::Fabric& fabric,
   const int n = fabric.num_nodes();
   ranks_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto r = std::make_unique<Rank>();
-    r->id = i;
-    r->part = fabric.partitioning().of_node(i);
-    r->cpu = std::make_unique<sim::FifoResource>(
-        par_.shard(r->part), "rank" + std::to_string(i) + ".cpu");
-    ranks_.push_back(std::move(r));
+    const int part = fabric.partitioning().of_node(i);
+    ranks_.emplace_back(i, part, par_.shard(part));
   }
 }
 
@@ -39,8 +35,8 @@ void CollectiveWorld::start(const CollectiveSpec& spec) {
   pow2_ranks_ = n < 1 ? 1 : (1 << floor_log2(n));
   rounds_ = spec_.op == Collective::barrier ? ceil_log2(n < 1 ? 1 : n)
                                             : floor_log2(n < 1 ? 1 : n);
-  for (auto& r : ranks_) {
-    Rank* rank = r.get();
+  for (Rank& r : ranks_) {
+    Rank* rank = &r;
     par_.shard(rank->part).post_at(sim::Time::zero(),
                                    [this, rank] { begin_iteration(*rank); });
   }
@@ -56,7 +52,7 @@ void CollectiveWorld::send(Rank& from, int to, int iter, int phase, int round,
   const int src = from.id;
   // The send occupies the rank's CPU/NIC for send_overhead, then the
   // chunk(s) enter the fabric back to back (the link FIFO serializes them).
-  from.cpu->acquire(
+  from.cpu.acquire(
       prm_.send_overhead,
       [this, src, to, key, payload, nchunks, phase]() {
         std::uint32_t left = payload;
@@ -79,7 +75,7 @@ void CollectiveWorld::send(Rank& from, int to, int iter, int phase, int round,
 void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
                                std::uint32_t nchunks, int phase) {
   // Runs in dst's partition (net::Fabric delivers there).
-  Rank& r = *ranks_[static_cast<std::size_t>(dst)];
+  Rank& r = ranks_[static_cast<std::size_t>(dst)];
   std::uint32_t& got = r.chunks_got[key];
   ++got;
   if (got < nchunks) return;
@@ -90,8 +86,8 @@ void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
   // phase 2 is just copied).
   sim::Time cost = prm_.recv_overhead;
   if (spec_.op == Collective::allreduce && phase != 2) cost += prm_.reduce_cost;
-  r.cpu->acquire(cost, [this, dst, key] {
-    on_message(*ranks_[static_cast<std::size_t>(dst)], key);
+  r.cpu.acquire(cost, [this, dst, key] {
+    on_message(ranks_[static_cast<std::size_t>(dst)], key);
   });
 }
 
@@ -192,21 +188,21 @@ bool CollectiveWorld::all_done() const { return ranks_done() == ranks(); }
 
 int CollectiveWorld::ranks_done() const {
   int n = 0;
-  for (const auto& r : ranks_) n += r->done ? 1 : 0;
+  for (const Rank& r : ranks_) n += r.done ? 1 : 0;
   return n;
 }
 
 sim::Time CollectiveWorld::completion_time() const {
   sim::Time t = sim::Time::zero();
-  for (const auto& r : ranks_) {
-    if (r->finished > t) t = r->finished;
+  for (const Rank& r : ranks_) {
+    if (r.finished > t) t = r.finished;
   }
   return t;
 }
 
 std::uint64_t CollectiveWorld::messages_sent() const {
   std::uint64_t v = 0;
-  for (const auto& r : ranks_) v += r->sent;
+  for (const Rank& r : ranks_) v += r.sent;
   return v;
 }
 

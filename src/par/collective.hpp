@@ -8,7 +8,8 @@
 // collectives as *rank state machines*: each rank is plain per-partition
 // data advanced by delivery events, so a rank's state is only ever touched
 // by event code running in its own partition — no fibers, no shared
-// mutable state, nothing for a worker thread to race on.
+// mutable state, nothing for a worker thread to race on.  Ranks are values
+// in one vector, each holding its CPU FIFO inline.
 //
 // Two operations, the ones the study's Figures scale with node count:
 //   * barrier   — dissemination: ceil(log2 n) rounds, round k sends to
@@ -29,7 +30,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -92,9 +93,14 @@ class CollectiveWorld {
 
  private:
   struct Rank {
+    Rank(int rank, int partition, sim::Engine& shard)
+        : id(rank),
+          part(partition),
+          cpu(shard, "rank" + std::to_string(rank) + ".cpu") {}
+
     int id = 0;
     int part = 0;
-    std::unique_ptr<sim::FifoResource> cpu;  ///< serializes send/recv overhead
+    sim::FifoResource cpu;  ///< serializes send/recv overhead
     int iter = 0;   ///< current iteration
     int phase = 0;  ///< allreduce: 0 fold-in, 1 doubling, 2 fold-out
     int round = 0;  ///< round within the phase
@@ -135,7 +141,9 @@ class CollectiveWorld {
   CollectiveSpec spec_;
   int rounds_ = 0;     ///< barrier: ceil(log2 n); allreduce: log2 of block
   int pow2_ranks_ = 1; ///< largest power of two <= n (allreduce block)
-  std::vector<std::unique_ptr<Rank>> ranks_;
+  /// Reserved once in the constructor and never resized, so the Rank
+  /// pointers that events capture stay valid.
+  std::vector<Rank> ranks_;
 };
 
 }  // namespace icsim::par

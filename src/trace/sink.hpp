@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -34,8 +36,17 @@ class NullSink final : public TraceSink {
 
 class RingBufferSink final : public TraceSink {
  public:
-  /// `capacity` is rounded up to a power of two (min 64).
+  /// The largest power of two a std::size_t holds.
+  static constexpr std::size_t kMaxCapacity =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+
+  /// `capacity` is rounded up to a power of two (min 64).  Throws
+  /// std::length_error above kMaxCapacity: no power of two holds that.
   explicit RingBufferSink(std::size_t capacity) {
+    if (capacity > kMaxCapacity) {
+      throw std::length_error(
+          "RingBufferSink: no power of two of std::size_t holds the capacity");
+    }
     std::size_t c = 64;
     while (c < capacity) c <<= 1;
     buf_.resize(c);

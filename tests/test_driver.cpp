@@ -204,6 +204,31 @@ TEST(SweepCli, ListPrintsEveryGroupWithPointCountsAndExitsZero) {
   (void)::testing::internal::GetCapturedStdout();
 }
 
+TEST(SweepCli, MalformedJobsIsAHardError) {
+  const Registry reg = make_registry();
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"-j", "abc"},
+        {"-j", "-3"},
+        {"-j", ""},
+        {"-j", "2x"},
+        {"-j2x"},
+        {"-jabc"},
+        {"-j", "99999999999"}}) {
+    std::vector<std::string> full = args;
+    full.insert(full.begin(), "--quiet");
+    full.push_back("alpha");
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(reg, full);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << args.back();
+    EXPECT_NE(err.find("-j needs a non-negative integer"), std::string::npos)
+        << err;
+  }
+  // Well-formed counts still run.
+  EXPECT_EQ(run_cli(reg, {"--quiet", "-j", "1", "alpha"}), 0);
+  EXPECT_EQ(run_cli(reg, {"--quiet", "-j2", "alpha"}), 0);
+}
+
 TEST(SweepCli, OutInfersFormatFromExtension) {
   const Registry reg = make_registry();
   const std::string base = ::testing::TempDir() + "icsim_sweep_out";

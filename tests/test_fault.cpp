@@ -115,7 +115,8 @@ TEST(FaultInjectorTest, DownWindowFlipsFabricLinkState) {
   FaultInjector inj(engine, plan, /*fallback_seed=*/1);
   inj.install(fabric);
 
-  const net::Hop hop = fabric.topology().route(0, 4).front();
+  const net::Hop hop =
+      fabric.topology().hop(fabric.topology().route(0, 4), 0);
   std::vector<bool> up_at;  // sampled at 5us, 15us, 25us
   for (const double t : {5.0, 15.0, 25.0}) {
     engine.post_at(sim::Time::us(t), [&] {
@@ -235,7 +236,7 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
 
   // Find the top-level hop of the default route to the far corner (full
   // climb, so the route crosses the spine).
-  const auto route = topo.route(0, 63);
+  const auto route = topo.hops(topo.route(0, 63));
   net::Hop spine{};
   for (const auto& h : route) {
     if (h.kind == net::Hop::Kind::switch_to_switch &&
@@ -272,7 +273,8 @@ TEST(FabricFaults, SpineFailureReroutesChunks) {
 TEST(FabricFaults, OverlappingWindowsHoldCableDownForTheirUnion) {
   sim::Engine engine;
   net::Fabric fabric(engine, net::FabricConfig{}, 8);
-  const net::Hop hop = fabric.topology().route(3, 0).front();
+  const net::Hop hop =
+      fabric.topology().hop(fabric.topology().route(3, 0), 0);
   fabric.set_link_windows(
       {{LinkRef::endpoint(3), sim::Time::us(10), sim::Time::us(30)},
        {LinkRef::endpoint(3), sim::Time::us(20), sim::Time::us(40)},
@@ -282,7 +284,8 @@ TEST(FabricFaults, OverlappingWindowsHoldCableDownForTheirUnion) {
   EXPECT_TRUE(fabric.link_down_at(hop, sim::Time::us(10)));
   EXPECT_TRUE(fabric.link_down_at(hop, sim::Time::us(35)));  // second window
   EXPECT_FALSE(fabric.link_down_at(hop, sim::Time::us(40)));
-  const net::Hop other = fabric.topology().route(5, 0).front();
+  const net::Hop other =
+      fabric.topology().hop(fabric.topology().route(5, 0), 0);
   EXPECT_TRUE(fabric.link_down_at(other, sim::Time::us(35)));  // forever
   EXPECT_TRUE(fabric.link_down_at(other, sim::Time::sec(1)));
 }

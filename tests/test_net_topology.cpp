@@ -46,7 +46,7 @@ TEST(FatTree, AncestorLevelSameLeaf) {
 
 TEST(FatTree, RouteSameLeafIsTwoHops) {
   const FatTreeTopology t(4, 3);
-  const auto r = t.route(0, 1);
+  const auto r = t.hops(t.route(0, 1));
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].kind, Hop::Kind::node_to_switch);
   EXPECT_EQ(r[1].kind, Hop::Kind::switch_to_node);
@@ -55,7 +55,7 @@ TEST(FatTree, RouteSameLeafIsTwoHops) {
 
 TEST(FatTree, RouteSelfThrows) {
   const FatTreeTopology t(4, 3);
-  EXPECT_THROW(t.route(5, 5), std::invalid_argument);
+  EXPECT_THROW((void)t.route(5, 5), std::invalid_argument);
 }
 
 // Route validity over all pairs: starts at src, ends at dst, climbs then
@@ -69,7 +69,7 @@ TEST_P(FatTreeAllPairs, RoutesAreValidEverywhere) {
   for (int s = 0; s < cap; ++s) {
     for (int d = 0; d < cap; ++d) {
       if (s == d) continue;
-      const auto r = t.route(s, d);
+      const auto r = t.hops(t.route(s, d));
       const int m = t.ancestor_level(s, d);
       ASSERT_EQ(static_cast<int>(r.size()), 2 * m + 2) << s << "->" << d;
       ASSERT_EQ(r.front().kind, Hop::Kind::node_to_switch);
@@ -103,7 +103,8 @@ TEST_P(FatTreeAllPairs, SwitchHopCountMatchesRoute) {
   for (int s = 0; s < t.capacity(); s += 3) {
     for (int d = 0; d < t.capacity(); d += 5) {
       if (s == d) continue;
-      EXPECT_EQ(t.switch_hops(s, d), static_cast<int>(t.route(s, d).size()) - 2);
+      const Route r = t.route(s, d);
+      EXPECT_EQ(r.hops(), static_cast<int>(t.hops(r).size()));
     }
   }
 }
@@ -115,7 +116,7 @@ TEST_P(FatTreeAllPairs, RoutesNeverRevisitASwitch) {
     for (int d = 0; d < t.capacity(); d += 3) {
       if (s == d) continue;
       std::set<std::uint64_t> seen;
-      for (const auto& hop : t.route(s, d)) {
+      for (const auto& hop : t.hops(t.route(s, d))) {
         if (hop.kind == Hop::Kind::switch_to_node) continue;
         const auto id = t.switch_id(hop.to);
         ASSERT_TRUE(seen.insert(id).second) << "switch revisited";
@@ -164,8 +165,8 @@ TEST(FatTreeFaults, NoDownedLinksReturnsTheDefaultRoute) {
   for (int s = 0; s < t.capacity(); s += 7) {
     for (int d = 0; d < t.capacity(); d += 5) {
       if (s == d) continue;
-      const auto def = t.route(s, d);
-      const auto alt = t.route_avoiding(s, d, never);
+      const auto def = t.hops(t.route(s, d));
+      const auto alt = t.hops(t.route_avoiding(s, d, never).value());
       ASSERT_EQ(alt.size(), def.size());
       for (std::size_t i = 0; i < def.size(); ++i) {
         EXPECT_EQ(alt[i].from, def[i].from);
@@ -182,7 +183,7 @@ TEST(FatTreeFaults, AvoidsEachSpineLinkOfTheDefaultRoute) {
   for (const auto& [k, n] : {std::make_tuple(4, 3), std::make_tuple(2, 4)}) {
     const FatTreeTopology t(k, n);
     const int s = 0, d = t.capacity() - 1;  // full climb
-    const auto def = t.route(s, d);
+    const auto def = t.hops(t.route(s, d));
     for (const auto& dead : def) {
       if (dead.kind != Hop::Kind::switch_to_switch) continue;
       const auto down = [&dead](const Hop& h) {
@@ -190,8 +191,9 @@ TEST(FatTreeFaults, AvoidsEachSpineLinkOfTheDefaultRoute) {
                ((h.from == dead.from && h.to == dead.to) ||
                 (h.from == dead.to && h.to == dead.from));
       };
-      const auto alt = t.route_avoiding(s, d, down);
-      ASSERT_FALSE(alt.empty());
+      const auto r = t.route_avoiding(s, d, down);
+      ASSERT_TRUE(r.has_value());
+      const auto alt = t.hops(*r);
       expect_valid_route(t, alt, s, d);
       EXPECT_EQ(alt.size(), def.size());  // still minimal
       for (const auto& h : alt) EXPECT_FALSE(down(h));
@@ -204,10 +206,20 @@ TEST(FatTreeFaults, DownedEndpointHasNoRoute) {
   const auto down = [](const Hop& h) {
     return h.kind != Hop::Kind::switch_to_switch && h.node == 9;
   };
-  EXPECT_TRUE(t.route_avoiding(0, 9, down).empty());
-  EXPECT_TRUE(t.route_avoiding(9, 0, down).empty());
+  EXPECT_FALSE(t.route_avoiding(0, 9, down).has_value());
+  EXPECT_FALSE(t.route_avoiding(9, 0, down).has_value());
   // Unrelated pairs are unaffected.
-  EXPECT_FALSE(t.route_avoiding(0, 25, down).empty());
+  EXPECT_TRUE(t.route_avoiding(0, 25, down).has_value());
+  // No peer reaches, or is reached from, an endpoint whose cable is down.
+  for (int x = 0; x < t.capacity(); x += 5) {
+    const LinkRef cable = LinkRef::endpoint(x);
+    const auto cut = [&cable](const Hop& h) { return cable.covers(h); };
+    for (int peer = 0; peer < t.capacity(); ++peer) {
+      if (peer == x) continue;
+      EXPECT_FALSE(t.route_avoiding(x, peer, cut).has_value()) << x;
+      EXPECT_FALSE(t.route_avoiding(peer, x, cut).has_value()) << x;
+    }
+  }
 }
 
 TEST(FatTreeFaults, IsolatedLeafSwitchPartitionsItsSubtree) {
@@ -218,16 +230,16 @@ TEST(FatTreeFaults, IsolatedLeafSwitchPartitionsItsSubtree) {
            (h.from == leaf || h.to == leaf);
   };
   // Cross-subtree: every route needs one of the leaf's up-cables -> none.
-  EXPECT_TRUE(t.route_avoiding(0, t.capacity() - 1, down).empty());
+  EXPECT_FALSE(t.route_avoiding(0, t.capacity() - 1, down).has_value());
   // Same leaf switch: no switch-to-switch hop involved, still routable.
-  EXPECT_FALSE(t.route_avoiding(0, 1, down).empty());
+  EXPECT_TRUE(t.route_avoiding(0, 1, down).has_value());
 }
 
 TEST(FatTreeFaults, SingleSpineOutageNeverPartitionsTheFabric) {
   // One dead spine cable: every pair must still have a valid route (the
   // k^m climb alternatives guarantee it for m >= 1).
   const FatTreeTopology t(2, 3);
-  const auto def = t.route(0, t.capacity() - 1);
+  const auto def = t.hops(t.route(0, t.capacity() - 1));
   Hop dead{};
   for (const auto& h : def) {
     if (h.kind == Hop::Kind::switch_to_switch &&
@@ -245,9 +257,53 @@ TEST(FatTreeFaults, SingleSpineOutageNeverPartitionsTheFabric) {
     for (int d = 0; d < t.capacity(); ++d) {
       if (s == d) continue;
       const auto r = t.route_avoiding(s, d, down);
-      ASSERT_FALSE(r.empty()) << s << "->" << d;
-      expect_valid_route(t, r, s, d);
-      for (const auto& h : r) ASSERT_FALSE(down(h));
+      ASSERT_TRUE(r.has_value()) << s << "->" << d;
+      expect_valid_route(t, t.hops(*r), s, d);
+      for (const auto& h : t.hops(*r)) ASSERT_FALSE(down(h));
+    }
+  }
+}
+
+// The event digests of faulted runs depend on which route a blocked chunk
+// takes, so the default top and the reroute candidate order are pinned.
+TEST(FatTreeFaults, DefaultTopIsTheDestinationLeafWordAtTheAncestorLevel) {
+  for (const auto& [k, n] : {std::make_tuple(4, 3), std::make_tuple(2, 4)}) {
+    const FatTreeTopology t(k, n);
+    for (int s = 0; s < t.capacity(); ++s) {
+      for (int d = 0; d < t.capacity(); ++d) {
+        if (s == d) continue;
+        const Route r = t.route(s, d);
+        ASSERT_EQ(r.src, s);
+        ASSERT_EQ(r.dst, d);
+        ASSERT_EQ(r.top, (SwitchCoord{t.ancestor_level(s, d),
+                                      t.leaf_switch_of(d).word}))
+            << s << "->" << d;
+      }
+    }
+  }
+}
+
+TEST(FatTreeFaults, RerouteTakesTheLowestOtherTopInTheSourceSubtree) {
+  for (const auto& [k, n] : {std::make_tuple(4, 3), std::make_tuple(2, 4)}) {
+    const FatTreeTopology t(k, n);
+    for (int s = 0; s < t.capacity(); ++s) {
+      for (int d = 0; d < t.capacity(); ++d) {
+        if (s == d || t.ancestor_level(s, d) == 0) continue;
+        const Route def = t.route(s, d);
+        const int m = def.top.level;
+        // The up-cable into the default top.
+        const Hop dead = t.hop(def, m);
+        const auto down = [&dead](const Hop& h) {
+          return LinkRef::between(dead.from, dead.to).covers(h);
+        };
+        std::uint32_t span = 1;
+        for (int l = 0; l < m; ++l) span *= static_cast<std::uint32_t>(k);
+        const std::uint32_t first = def.top.word - def.top.word % span;
+        const std::uint32_t want = def.top.word == first ? first + 1 : first;
+        const auto r = t.route_avoiding(s, d, down);
+        ASSERT_TRUE(r.has_value()) << s << "->" << d;
+        EXPECT_EQ(r->top, (SwitchCoord{m, want})) << s << "->" << d;
+      }
     }
   }
 }
@@ -273,7 +329,7 @@ TEST(FatTree, DestinationRoutingSpreadsSpineLoad) {
   const FatTreeTopology t(4, 3);
   std::set<std::uint64_t> spines;
   for (int d = 16; d < 32; ++d) {  // destinations in another subtree
-    for (const auto& hop : t.route(0, d)) {
+    for (const auto& hop : t.hops(t.route(0, d))) {
       if (hop.kind == Hop::Kind::switch_to_switch && hop.to.level == 2) {
         spines.insert(t.switch_id(hop.to));
       }

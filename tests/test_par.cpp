@@ -20,6 +20,7 @@
 #include "par/collective.hpp"
 #include "par/par_cluster.hpp"
 #include "par/par_engine.hpp"
+#include "scoped_env.hpp"
 #include "sim/check.hpp"
 #include "sim/concurrency.hpp"
 
@@ -65,10 +66,10 @@ TEST(Partitioning, EndpointHopsNeverCrossPartitions) {
   for (int src = 0; src < 64; src += 7) {
     for (int dst = 0; dst < 64; dst += 11) {
       if (src == dst) continue;
-      const std::vector<net::Hop> route = topo.route(src, dst);
+      const net::Route route = topo.route(src, dst);
       // First hop owned by src's partition, last by dst's.
-      EXPECT_EQ(p.owner(route.front()), p.of_node(src));
-      EXPECT_EQ(p.owner(route.back()), p.of_node(dst));
+      EXPECT_EQ(p.owner(topo.hop(route, 0)), p.of_node(src));
+      EXPECT_EQ(p.owner(topo.hop(route, route.hops() - 1)), p.of_node(dst));
     }
   }
 }
@@ -217,26 +218,6 @@ TEST(ParCluster, RejectsLinkWindowsOutsideTheFabric) {
   }
 }
 
-/// Sets an environment variable for one scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_.empty()) {
-      ::unsetenv(name_);
-    } else {
-      ::setenv(name_, old_.c_str(), 1);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string old_;
-};
-
 TEST(ParCluster, ParThreadsEnvMustBePositiveInt) {
   core::ClusterConfig cc = core::elan_cluster(16);
   cc.env_overrides = true;
@@ -369,7 +350,7 @@ void expect_same_counters(const FabricRun& a, const FabricRun& b, int parts) {
 net::LinkDownWindow spine_window() {
   const net::FatTreeTopology topo(4, 3);
   net::LinkDownWindow w;  // up <= down: down forever
-  for (const net::Hop& h : topo.route(0, 37)) {
+  for (const net::Hop& h : topo.hops(topo.route(0, 37))) {
     if (h.kind == net::Hop::Kind::switch_to_switch && h.to.level == 2) {
       w.link = net::LinkRef::between(h.from, h.to);
     }

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "scoped_env.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/sink.hpp"
@@ -156,6 +159,30 @@ TEST(RingBufferSink, RoundsCapacityUpToPowerOfTwo) {
   EXPECT_EQ(trace::RingBufferSink(64).capacity(), 64u);
   EXPECT_EQ(trace::RingBufferSink(65).capacity(), 128u);
   EXPECT_EQ(trace::RingBufferSink(1000).capacity(), 1024u);
+}
+
+TEST(RingBufferSink, RejectsCapacityNoPowerOfTwoHolds) {
+  // Rounding SIZE_MAX up would overflow to 0 and never end.
+  EXPECT_THROW(trace::RingBufferSink(SIZE_MAX), std::length_error);
+  EXPECT_THROW(trace::RingBufferSink(trace::RingBufferSink::kMaxCapacity + 1),
+               std::length_error);
+}
+
+TEST(ClusterTrace, TraceEventsEnvMustBePositiveInt) {
+  const std::string path = ::testing::TempDir() + "test_trace_events.json";
+  const ScopedEnv trace_env("ICSIM_TRACE", path.c_str());
+  core::ClusterConfig cfg = core::elan_cluster(2, 1);
+  for (const char* bad : {"-1", "abc", "", "0", "64x",
+                          "18446744073709551615", "18446744073709551616"}) {
+    const ScopedEnv env("ICSIM_TRACE_EVENTS", bad);
+    try {
+      core::Cluster cluster(cfg);
+      ADD_FAILURE() << "accepted ICSIM_TRACE_EVENTS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ICSIM_TRACE_EVENTS"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(RingBufferSink, KeepsAllEventsBeforeWrap) {

@@ -308,7 +308,8 @@ TEST(TrafficWorkload, CableCutWindowDegradesElanTail) {
   // The victim is flow {1,5}'s first climb cable, named through the
   // ICSIM_FAULTS grammar (round-trips LinkRef::to_string -> parse).
   const fault::LinkRef victim = [&] {
-    for (const auto& h : cc.fabric().topology().route(1, 5)) {
+    const auto& topo = cc.fabric().topology();
+    for (const auto& h : topo.hops(topo.route(1, 5))) {
       if (h.kind == net::Hop::Kind::switch_to_switch &&
           h.to.level > h.from.level) {
         return fault::LinkRef::between(h.from, h.to);
