@@ -1,8 +1,16 @@
 #include "apps/lammps/force.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace icsim::apps::md {
+
+namespace {
+
+/// Each atom's neighbours are processed in stack-held blocks of this many.
+constexpr int kBlock = 64;
+
+}  // namespace
 
 void compute_lj(const Atoms& atoms, const NeighborList& list,
                 const std::vector<int>& which, double cutoff, ForceAccum& f) {
@@ -12,34 +20,66 @@ void compute_lj(const Atoms& atoms, const NeighborList& list,
   const double rc6 = 1.0 / (cutsq * cutsq * cutsq);
   const double eshift = 4.0 * rc6 * (rc6 - 1.0);
 
+  const double* x = atoms.x.data();
+  const double* y = atoms.y.data();
+  const double* z = atoms.z.data();
+  const int* neigh = list.neigh.data();
+  double potential = f.potential;
+  std::uint64_t pair_evals = f.pair_evals;
+  double dx[kBlock], dy[kBlock], dz[kBlock], rsq[kBlock];
+  double px[kBlock], py[kBlock], pz[kBlock], pe[kBlock];
   for (const int i : which) {
-    const double xi = atoms.x[static_cast<std::size_t>(i)];
-    const double yi = atoms.y[static_cast<std::size_t>(i)];
-    const double zi = atoms.z[static_cast<std::size_t>(i)];
+    const double xi = x[i];
+    const double yi = y[i];
+    const double zi = z[i];
     double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-    for (int k = list.first[static_cast<std::size_t>(i)];
-         k < list.first[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = xi - atoms.x[static_cast<std::size_t>(j)];
-      const double dy = yi - atoms.y[static_cast<std::size_t>(j)];
-      const double dz = zi - atoms.z[static_cast<std::size_t>(j)];
-      const double rsq = dx * dx + dy * dy + dz * dz;
-      if (rsq >= cutsq) continue;
-      ++f.pair_evals;
-      const double r2i = 1.0 / rsq;
-      const double r6i = r2i * r2i * r2i;
-      // F/r = 48 eps (r^-12 - 0.5 r^-6) / r^2 in reduced units.
-      const double fpair = 48.0 * r6i * (r6i - 0.5) * r2i;
-      fxi += dx * fpair;
-      fyi += dy * fpair;
-      fzi += dz * fpair;
-      // Half the pair energy; the other half is credited by j's owner.
-      f.potential += 0.5 * (4.0 * r6i * (r6i - 1.0) - eshift);
+    const int kend = list.first[static_cast<std::size_t>(i) + 1];
+    for (int k0 = list.first[static_cast<std::size_t>(i)]; k0 < kend;
+         k0 += kBlock) {
+      const int m = std::min(kBlock, kend - k0);
+      // Gather displacements, keeping (in list order, without a branch)
+      // the pairs inside the cutoff.  `!(r >= cutsq)` is the scalar
+      // kernel's skip test, so a NaN distance is kept as it was there.
+      int c = 0;
+      for (int t = 0; t < m; ++t) {
+        const int j = neigh[k0 + t];
+        const double ddx = xi - x[j];
+        const double ddy = yi - y[j];
+        const double ddz = zi - z[j];
+        const double r = ddx * ddx + ddy * ddy + ddz * ddz;
+        dx[c] = ddx;
+        dy[c] = ddy;
+        dz[c] = ddz;
+        rsq[c] = r;
+        c += static_cast<int>(!(r >= cutsq));
+      }
+      // Pair terms, independent of each other: this loop vectorises.
+      for (int t = 0; t < c; ++t) {
+        const double r2i = 1.0 / rsq[t];
+        const double r6i = r2i * r2i * r2i;
+        // F/r = 48 eps (r^-12 - 0.5 r^-6) / r^2 in reduced units.
+        const double fpair = 48.0 * r6i * (r6i - 0.5) * r2i;
+        px[t] = dx[t] * fpair;
+        py[t] = dy[t] * fpair;
+        pz[t] = dz[t] * fpair;
+        // Half the pair energy; the other half is credited by j's owner.
+        pe[t] = 0.5 * (4.0 * r6i * (r6i - 1.0) - eshift);
+      }
+      // Sums in list order, so they round exactly as a scalar loop does.
+      for (int t = 0; t < c; ++t) {
+        fxi += px[t];
+        fyi += py[t];
+        fzi += pz[t];
+        potential += pe[t];
+      }
+      pair_evals += static_cast<std::uint64_t>(c);
     }
     f.fx[static_cast<std::size_t>(i)] += fxi;
     f.fy[static_cast<std::size_t>(i)] += fyi;
     f.fz[static_cast<std::size_t>(i)] += fzi;
   }
+  f.potential = potential;
+  f.pair_evals = pair_evals;
 }
 
 void compute_bonds(const Atoms& atoms, const BondParams& params,

@@ -29,6 +29,16 @@ struct ForceAccum {
 /// LJ 12-6 with energy shift at the cutoff, evaluated from a full
 /// neighbour list for the owned atoms listed in `which` (pass all locals,
 /// or the inner/boundary split for overlapped runs).
+///
+/// Each atom's list is walked in stack-held blocks, in three passes: gather
+/// the displacements, keeping the pairs with rsq < cutoff^2 in list order;
+/// compute every kept pair's force and energy terms (independent, so that
+/// loop vectorises); then add the terms serially in list order.
+///
+/// Bit-identity rule: fx/fy/fz of atom i and `potential` receive exactly
+/// the terms, in exactly the order, of one scalar left-to-right loop over
+/// the list, so results match that loop byte for byte (the scalar
+/// reference in tests/test_apps_md.cpp checks it).  No heap allocation.
 void compute_lj(const Atoms& atoms, const NeighborList& list,
                 const std::vector<int>& which, double cutoff, ForceAccum& f);
 

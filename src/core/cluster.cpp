@@ -39,9 +39,9 @@ std::string sibling(const std::string& path, const char* suffix) {
   return (has_ext ? path.substr(0, dot) : path) + suffix;
 }
 
-/// ICSIM_TRACE_EVENTS must be a whole positive count that a power-of-two
-/// ring can hold; reject the rest rather than guess a ring size.
-[[nodiscard]] std::size_t parse_trace_events(std::string_view text) {
+}  // namespace
+
+std::size_t parse_trace_events(std::string_view text) {
   std::size_t v = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), v);
@@ -53,8 +53,6 @@ std::string sibling(const std::string& path, const char* suffix) {
   }
   return v;
 }
-
-}  // namespace
 
 ClusterConfig myrinet_cluster(int nodes, int ppn) {
   ClusterConfig c;

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -126,6 +127,11 @@ struct ClusterConfig {
 /// serving rate, traffic::calibrated_capacity_Bps, not raw link_bandwidth —
 /// achievable goodput at serving-sized messages sits far below line rate.)
 [[nodiscard]] net::FabricConfig fabric_config_for(Network net, int nodes);
+
+/// Parse an `ICSIM_TRACE_EVENTS` value: a whole positive count that a
+/// power-of-two ring can hold.  Throws std::invalid_argument naming the
+/// variable otherwise, rather than guess a ring size.
+[[nodiscard]] std::size_t parse_trace_events(std::string_view text);
 
 class Cluster {
  public:

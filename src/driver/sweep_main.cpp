@@ -2,13 +2,17 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "driver/runner.hpp"
+#include "fault/plan.hpp"
 
 namespace icsim::driver {
 
@@ -41,6 +45,26 @@ bool parse_jobs(std::string_view text, int& jobs) {
   }
   jobs = v;
   return true;
+}
+
+/// The process-wide settings every point's Cluster would read, parsed once
+/// with the parsers Cluster uses: a bad value is one error before the
+/// sweep, not one per point.  Throws std::invalid_argument.
+void check_env_overrides() {
+  if (const char* path = std::getenv("ICSIM_TRACE");
+      path != nullptr && *path != '\0') {
+    if (const char* n = std::getenv("ICSIM_TRACE_EVENTS"); n != nullptr) {
+      (void)core::parse_trace_events(n);
+    }
+  }
+  if (const char* spec = std::getenv("ICSIM_FAULTS");
+      spec != nullptr && *spec != '\0') {
+    try {
+      (void)fault::FaultPlan::parse(spec);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("ICSIM_FAULTS: ") + e.what());
+    }
+  }
 }
 
 bool write_file_or_stdout(const std::string& path, const std::string& body) {
@@ -141,6 +165,7 @@ int sweep_main(const Registry& registry, int argc, char** argv) {
 
   SweepReport report;
   try {
+    check_env_overrides();
     report = run_sweep(registry, groups, opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "driver/scenario.hpp"
 #include "driver/sweep_main.hpp"
 #include "microbench/pingpong.hpp"
+#include "scoped_env.hpp"
 #include "sim/engine.hpp"
 
 namespace icsim::driver {
@@ -227,6 +229,47 @@ TEST(SweepCli, MalformedJobsIsAHardError) {
   // Well-formed counts still run.
   EXPECT_EQ(run_cli(reg, {"--quiet", "-j", "1", "alpha"}), 0);
   EXPECT_EQ(run_cli(reg, {"--quiet", "-j2", "alpha"}), 0);
+}
+
+TEST(SweepCli, BadProcessWideEnvFailsOnceBeforeTheSweep) {
+  const Registry reg = make_registry();
+  const auto lines = [](const std::string& text) {
+    return std::count(text.begin(), text.end(), '\n');
+  };
+  {
+    const ScopedEnv trace("ICSIM_TRACE", "never_written.json");
+    const ScopedEnv events("ICSIM_TRACE_EVENTS", "-1");
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(reg, {"alpha", "rndv"});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(lines(err), 1) << err;
+    EXPECT_EQ(err.rfind("icsim_sweep: ICSIM_TRACE_EVENTS='-1'", 0), 0u) << err;
+    EXPECT_TRUE(out.empty()) << out;  // no point ran
+    EXPECT_FALSE(std::filesystem::exists("never_written.json"));
+  }
+  {
+    const ScopedEnv faults("ICSIM_FAULTS", "bogus=1");
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(reg, {"--quiet", "alpha", "rndv"});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(lines(err), 1) << err;
+    EXPECT_EQ(err.rfind("icsim_sweep: ICSIM_FAULTS: ", 0), 0u) << err;
+    EXPECT_NE(err.find("bogus=1"), std::string::npos) << err;
+  }
+  {
+    // ICSIM_TRACE_EVENTS only sizes a trace ICSIM_TRACE asked for; on its
+    // own it is not read, so it is not checked either.
+    const ScopedEnv events("ICSIM_TRACE_EVENTS", "-1");
+    EXPECT_EQ(run_cli(reg, {"--quiet", "alpha"}), 0);
+  }
+  {
+    const ScopedEnv faults("ICSIM_FAULTS", "ber=0; seed=3");
+    EXPECT_EQ(run_cli(reg, {"--quiet", "alpha"}), 0);
+  }
 }
 
 TEST(SweepCli, OutInfersFormatFromExtension) {
