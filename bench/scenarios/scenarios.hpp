@@ -1,18 +1,19 @@
 #pragma once
-// Scenario registration for every figure / extension study of the
-// reproduction.  Each register_* call adds one output group (two for the
-// fault study) of self-contained sweep points to the registry; the
-// per-figure bench binaries call exactly one of them, icsim_sweep calls
-// register_all().  Registration order is fixed here — it defines the
-// aggregated output order (see driver/scenario.hpp).
+// Scenario registration for every table, figure, ablation and extension
+// study of the reproduction.  Each register_* call adds one output group
+// (two for the fault and traffic studies) of self-contained sweep points
+// to the registry; icsim_sweep calls register_all() and runs the groups
+// named on its command line.  Registration order is fixed here — it
+// defines the aggregated output order (see driver/scenario.hpp).
 //
-// All registration functions read ICSIM_FAST at registration time to pick
-// reduced problem sizes, mirroring what the original bench binaries did.
+// Registration functions read ICSIM_FAST at registration time to pick
+// reduced problem sizes where a group is slow at full size.
 
 #include "driver/scenario.hpp"
 
 namespace icsim::bench {
 
+void register_table1_platform(driver::Registry& r);
 void register_fig1_latency(driver::Registry& r);
 void register_fig1_bandwidth(driver::Registry& r);
 void register_fig1_beff(driver::Registry& r);
@@ -24,6 +25,10 @@ void register_fig6_npb_cg(driver::Registry& r);
 void register_fig7_cost(driver::Registry& r);
 void register_fig8_extrapolation(driver::Registry& r);
 void register_fig8_simulated(driver::Registry& r);  // parallel engine (src/par/)
+void register_ablation_progress(driver::Registry& r);
+void register_ablation_eager(driver::Registry& r);
+void register_ablation_regcache(driver::Registry& r);
+void register_ablation_offload(driver::Registry& r);
 void register_ext_threeway(driver::Registry& r);
 void register_ext_npb_suite(driver::Registry& r);
 void register_ext_scale(driver::Registry& r);
@@ -33,7 +38,8 @@ void register_ext_faults(driver::Registry& r);  // ext_faults_ber + _spine
 void register_replay(driver::Registry& r);      // examples/traces/* x fabrics
 void register_traffic(driver::Registry& r);     // traffic + traffic_degraded
 
-/// Everything above, in figure order.
+/// Everything above, in paper order: Table 1, the figures, the
+/// ablations, then the extensions.
 void register_all(driver::Registry& r);
 
 }  // namespace icsim::bench

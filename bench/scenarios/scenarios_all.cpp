@@ -3,6 +3,7 @@
 namespace icsim::bench {
 
 void register_all(driver::Registry& r) {
+  register_table1_platform(r);
   register_fig1_latency(r);
   register_fig1_bandwidth(r);
   register_fig1_beff(r);
@@ -14,6 +15,10 @@ void register_all(driver::Registry& r) {
   register_fig7_cost(r);
   register_fig8_extrapolation(r);
   register_fig8_simulated(r);
+  register_ablation_progress(r);
+  register_ablation_eager(r);
+  register_ablation_regcache(r);
+  register_ablation_offload(r);
   register_ext_threeway(r);
   register_ext_npb_suite(r);
   register_ext_scale(r);

@@ -20,6 +20,8 @@
 namespace icsim::bench {
 
 void register_fig7_cost(driver::Registry& reg) {
+  // The paper calls the ~6.5% network-per-node delta "comparable to the
+  // difference in application performance" — the cost side of its verdict.
   auto& g = reg.group("fig7_cost",
                       "Figure 7: network cost per port (USD) vs nodes");
   g.finalize = [](std::vector<driver::PointResult>&) {

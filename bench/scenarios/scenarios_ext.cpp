@@ -27,6 +27,10 @@ constexpr core::Network kThreeNets[] = {core::Network::infiniband,
 }  // namespace
 
 void register_ext_threeway(driver::Registry& reg) {
+  // The predecessor study (Liu et al. [11]: InfiniBand vs Myrinet vs
+  // Quadrics), regenerated with this paper's Elan-4 in place of Elan-3,
+  // plus its application-level check, NAS CG at 16 processes.  Myrinet's
+  // 16 kB copy blocks keep its curve smooth.
   const std::vector<std::size_t> sizes = {0,     64,    1024,
                                           8192,  65536, 1u << 20};
   const int reps = 40, warmup = 4;
@@ -81,6 +85,10 @@ void register_ext_threeway(driver::Registry& reg) {
 }
 
 void register_ext_loggp(driver::Registry& reg) {
+  // LogGP is the era's vocabulary for "why does this network help
+  // applications" (cf. the paper's reference [15], Martin et al.).
+  // InfiniBand's g is its weak spot: the offloaded NIC sustains several
+  // times the message rate.  Myrinet's G is ~4x the others (2 Gb/s links).
   auto& g = reg.group("ext_loggp",
                       "Extension: LogGP characterization (2 nodes, 1 PPN)");
   g.finalize = [](std::vector<driver::PointResult>&) {
@@ -91,7 +99,9 @@ void register_ext_loggp(driver::Registry& reg) {
   for (const auto net : kThreeNets) {
     reg.add("ext_loggp", net_tag(net), [net]() {
       driver::PointResult r;
-      const auto p = core::measure_loggp(cluster_for(net, 2));
+      core::Cluster::RunStats st;
+      const auto p = core::measure_loggp(cluster_for(net, 2), &st);
+      fold_run(r, st);
       r.add("L us", p.L_us, 2);
       r.add("o_send us", p.o_send_us, 2);
       r.add("o_recv us", p.o_recv_us, 2);
@@ -104,6 +114,10 @@ void register_ext_loggp(driver::Registry& reg) {
 }
 
 void register_ext_collectives(driver::Registry& reg) {
+  // The standard companion table to Figure 1 in interconnect comparisons
+  // of the era.  Every collective is the MPICH-style point-to-point
+  // algorithm both real MPIs used, so the network's latency and message-
+  // rate advantages compound logarithmically (linearly for alltoall).
   auto& g = reg.group("ext_collectives",
                       "Extension: collective latency (us), 1 PPN (barrier | "
                       "allreduce 8B | bcast 1KB | alltoall 128B/peer)");

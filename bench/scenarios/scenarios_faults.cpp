@@ -4,8 +4,9 @@
 //
 // ext_faults_ber sweeps a per-link bit-error rate over ping-pong +
 // streaming on two nodes: both networks must complete every transfer —
-// InfiniBand by RC timeout/retransmission, Elan-4 by hardware link-level
-// retry — with bounded slowdown at BER <= 1e-6.
+// InfiniBand by RC timeout/retransmission (the requester re-reads the
+// chunk over PCI-X), Elan-4 by hardware link-level retry out of the link
+// buffer — with bounded slowdown at BER <= 1e-6.
 //
 // ext_faults_spine saturates every up-cable of one leaf switch, then fails
 // one of those cables (whole-run and mid-run).  Chunks reroute over the

@@ -84,6 +84,10 @@ void register_fig1_latency(driver::Registry& reg) {
 }
 
 void register_fig1_bandwidth(driver::Registry& reg) {
+  // Both networks asymptote to similar peaks because PCI-X, not the link,
+  // bounds them; InfiniBand collapses at 4 MB, where the Pallas buffer
+  // pair overflows MVAPICH 0.9.2's registration cache (fixed in later
+  // releases; see ablation_regcache).
   const bool fast = fast_mode();
   auto sizes = microbench::pallas_sizes(fast ? (64u << 10) : (4u << 20));
   sizes.erase(sizes.begin());  // skip 0 bytes
@@ -162,6 +166,10 @@ void register_fig1_bandwidth(driver::Registry& reg) {
 }
 
 void register_fig1_beff(driver::Registry& reg) {
+  // An ideal machine would be flat.  Elan-4 sits above InfiniBand at every
+  // size because b_eff's logarithmic average is dominated by sub-kilobyte
+  // messages, where Elan's latency/message-rate advantage is largest; both
+  // decay mildly as the fabric is loaded.
   const bool fast = fast_mode();
   const std::vector<int> node_counts =
       fast ? std::vector<int>{2, 4, 8} : std::vector<int>{2, 4, 8, 16, 24, 32};

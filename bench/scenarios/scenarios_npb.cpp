@@ -103,6 +103,12 @@ void register_fig6_npb_cg(driver::Registry& reg) {
 }
 
 void register_ext_npb_suite(driver::Registry& reg) {
+  // The paper's future work asks for "a greater breadth of applications".
+  // Five kernels span the communication spectrum: EP (one allreduce), MG
+  // (big fine-level faces, tiny coarse-level ones), FT (alltoall
+  // transposes), IS (bulk alltoallv, where IB's fat links close most of
+  // the gap) and CG (many mid-size latency-bound exchanges, Quadrics' best
+  // case).  The interesting output is the Elan:IB time ratio per kernel.
   const bool fast = fast_mode();
   const int nodes = 16;
 

@@ -19,21 +19,6 @@ namespace icsim::bench {
 
 namespace {
 
-/// The trace root is resolved once at registration: $ICSIM_REPLAY_TRACES
-/// when set, else the first of examples/traces (repo-root cwd) and
-/// ../examples/traces (build-dir cwd) that exists.
-[[nodiscard]] std::string trace_root() {
-  if (const char* env = std::getenv("ICSIM_REPLAY_TRACES");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
-  for (const char* candidate : {"examples/traces", "../examples/traces"}) {
-    std::error_code ec;
-    if (std::filesystem::is_directory(candidate, ec)) return candidate;
-  }
-  return "";
-}
-
 [[nodiscard]] driver::PointResult replay_point(const std::string& dir,
                                                core::Network net) {
   const auto program = replay::TraceProgram::load_dir(dir);
@@ -54,14 +39,18 @@ namespace {
 }  // namespace
 
 void register_replay(driver::Registry& reg) {
-  const std::string root = trace_root();
+  // The trace root: $ICSIM_REPLAY_TRACES when set, else the source tree's
+  // examples/traces (a build-time path, so the sweep's output does not
+  // depend on the working directory).  The title names the root without
+  // its location.
+  const char* env = std::getenv("ICSIM_REPLAY_TRACES");
+  const bool overridden = env != nullptr && *env != '\0';
+  const std::string root = overridden ? env : ICSIM_TRACES_DIR;
   std::vector<std::string> sets;
-  if (!root.empty()) {
-    std::error_code ec;
-    for (std::filesystem::directory_iterator it(root, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      if (it->is_directory()) sets.push_back(it->path().filename().string());
-    }
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(root, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->is_directory()) sets.push_back(it->path().filename().string());
   }
   std::sort(sets.begin(), sets.end());
 
@@ -72,7 +61,8 @@ void register_replay(driver::Registry& reg) {
                         "ICSIM_REPLAY_TRACES or create examples/traces/)")
           : line("Trace replay: %d trace set(s) under %s, each on both "
                  "fabrics",
-                 static_cast<int>(sets.size()), root.c_str()));
+                 static_cast<int>(sets.size()),
+                 overridden ? "$ICSIM_REPLAY_TRACES" : "examples/traces"));
   g.finalize = [](std::vector<driver::PointResult>&) {
     return std::vector<std::string>{
         "replayed captures reproduce the captured run's event digest "

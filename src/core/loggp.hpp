@@ -14,6 +14,7 @@
 
 #include "core/cluster.hpp"
 #include "microbench/pingpong.hpp"
+#include "sim/check.hpp"
 
 namespace icsim::core {
 
@@ -26,8 +27,21 @@ struct LogGpParams {
   double half_rtt_us = 0.0;    ///< raw small-message one-way time
 };
 
-[[nodiscard]] inline LogGpParams measure_loggp(const ClusterConfig& config) {
+/// Runs three fresh clusters (overheads, ping-pong, streaming).  When
+/// `stats` is non-null, its events_processed and event_digest receive the
+/// fold of the three runs, in that order: events summed, digests chained
+/// through FNV-1a — one fingerprint for the whole measurement.
+[[nodiscard]] inline LogGpParams measure_loggp(
+    const ClusterConfig& config, Cluster::RunStats* stats = nullptr) {
   LogGpParams p;
+  const auto fold = [stats](const Cluster::RunStats& st) {
+    if (stats == nullptr) return;
+    stats->events_processed += st.events_processed;
+    sim::check::Fnv1a f;
+    f.fold(stats->event_digest);
+    f.fold(st.event_digest);
+    stats->event_digest = f.value();
+  };
 
   // Host overheads: simulated CPU time around the posting calls.
   {
@@ -56,6 +70,7 @@ struct LogGpParams {
         for (int i = 0; i < kReps; ++i) mpi.send(&b, 1, peer, 3);
       }
     });
+    fold(cluster.stats());
     p.o_send_us = os;
     p.o_recv_us = orecv;
   }
@@ -66,7 +81,10 @@ struct LogGpParams {
     o.sizes = {1};
     o.repetitions = 50;
     o.warmup = 5;
+    Cluster::RunStats st;
+    o.stats = &st;
     const auto r = microbench::run_pingpong(config, o);
+    fold(st);
     p.half_rtt_us = r[0].latency_us;
     p.L_us = p.half_rtt_us - p.o_send_us - p.o_recv_us;
   }
@@ -78,7 +96,10 @@ struct LogGpParams {
     o.window = 64;
     o.batches = 10;
     o.warmup_batches = 2;
+    Cluster::RunStats st;
+    o.stats = &st;
     const auto r = microbench::run_streaming(config, o);
+    fold(st);
     p.g_us = 1e6 / r[0].msg_rate_per_sec;
     p.G_ns_per_byte = 1e3 / r[1].bandwidth_mbs;
   }

@@ -1,48 +1,8 @@
 #pragma once
-// Table/CSV reporting helpers shared by the figure-reproduction benches.
-
-#include <cstdio>
-#include <string>
-#include <vector>
+// Scaling-efficiency helpers for the paper's scaled-size and fixed-size
+// studies.
 
 namespace icsim::core {
-
-/// Fixed-width console table.  Columns are declared once; rows print as
-/// they are added so long sweeps show progress.
-class Table {
- public:
-  explicit Table(std::vector<std::string> headers, int col_width = 14)
-      : headers_(std::move(headers)), width_(col_width) {}
-
-  void print_header() const {
-    for (const auto& h : headers_) std::printf("%*s", width_, h.c_str());
-    std::printf("\n");
-    for (std::size_t i = 0; i < headers_.size(); ++i) {
-      for (int j = 0; j < width_; ++j) std::printf("-");
-    }
-    std::printf("\n");
-  }
-
-  void print_row(const std::vector<std::string>& cells) const {
-    for (const auto& c : cells) std::printf("%*s", width_, c.c_str());
-    std::printf("\n");
-  }
-
- private:
-  std::vector<std::string> headers_;
-  int width_;
-};
-
-[[nodiscard]] inline std::string fmt(double v, int precision = 2) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
-}
-[[nodiscard]] inline std::string fmt_int(long v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%ld", v);
-  return buf;
-}
 
 /// Scaling efficiency for a *scaled-size* study (paper Section 2.2): with
 /// constant work per process, ideal time is flat, so eff = t_base / t_p.

@@ -13,6 +13,7 @@
 #include "core/cluster.hpp"
 #include "driver/runner.hpp"
 #include "fault/plan.hpp"
+#include "par/par_cluster.hpp"
 
 namespace icsim::driver {
 
@@ -56,6 +57,9 @@ void check_env_overrides() {
     if (const char* n = std::getenv("ICSIM_TRACE_EVENTS"); n != nullptr) {
       (void)core::parse_trace_events(n);
     }
+  }
+  if (const char* n = std::getenv("ICSIM_PAR_THREADS"); n != nullptr) {
+    (void)par::parse_par_threads(n);
   }
   if (const char* spec = std::getenv("ICSIM_FAULTS");
       spec != nullptr && *spec != '\0') {

@@ -1,9 +1,8 @@
 #pragma once
-// Shared command line for sweep binaries.
+// Command line of the sweep driver.
 //
 // icsim_sweep registers every scenario group and hands argc/argv to
-// sweep_main(); each per-figure bench binary registers just its own
-// group(s) and does the same, which is what makes them thin wrappers.
+// sweep_main(), which runs the groups named on the command line.
 //
 //   usage: <prog> [options] [group ...]
 //     -j N, -jN     worker threads (0 = all hardware threads; default 1)
@@ -17,7 +16,9 @@
 //
 // With no group arguments every registered group runs.  Exit status: 0
 // when every point succeeded, 1 when any point reported an error, 2 on a
-// usage error.  Tables/JSON/CSV are byte-identical across -j values; all
+// usage error or a bad process-wide setting (ICSIM_TRACE_EVENTS,
+// ICSIM_FAULTS, ICSIM_PAR_THREADS), which is reported once, before any
+// point runs.  Tables/JSON/CSV are byte-identical across -j values; all
 // wall-clock reporting goes to stderr or the --metrics file.
 
 #include "driver/scenario.hpp"

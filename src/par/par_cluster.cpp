@@ -35,11 +35,7 @@ ParNetParams params_for(const core::ClusterConfig& config) {
   return p;
 }
 
-namespace {
-
-/// ICSIM_PAR_THREADS must be a whole positive int; reject the rest rather
-/// than guess a thread count.
-[[nodiscard]] int parse_par_threads(std::string_view text) {
+int parse_par_threads(std::string_view text) {
   int v = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), v);
@@ -49,8 +45,6 @@ namespace {
   }
   return v;
 }
-
-}  // namespace
 
 ParCluster::ParCluster(const core::ClusterConfig& config, int partitions)
     : cfg_(config) {

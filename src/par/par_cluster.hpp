@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "core/cluster.hpp"
 #include "par/collective.hpp"
@@ -40,6 +41,11 @@ namespace icsim::par {
 /// and envelope processing + completion write per receive.  The chunk
 /// granularity follows each stack's DES pipeline granularity.
 [[nodiscard]] ParNetParams params_for(const core::ClusterConfig& config);
+
+/// Parse an `ICSIM_PAR_THREADS` value: a whole positive count in int
+/// range.  Throws std::invalid_argument naming the variable otherwise,
+/// rather than guess a thread count.
+[[nodiscard]] int parse_par_threads(std::string_view text);
 
 struct ParRunStats {
   std::uint64_t events_processed = 0;

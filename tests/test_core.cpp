@@ -104,11 +104,6 @@ TEST(Report, EfficiencyHelpers) {
   EXPECT_DOUBLE_EQ(fixed_efficiency(16.0, 4, 4.0, 16), 1.0);
 }
 
-TEST(Report, Formatting) {
-  EXPECT_EQ(fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(fmt_int(42), "42");
-}
-
 TEST(Calibration, FabricsScaleToNodeCount) {
   EXPECT_EQ(ib_fabric(96).levels, 2);
   EXPECT_EQ(ib_fabric(145).levels, 3);  // beyond 144 needs another level
@@ -178,6 +173,27 @@ TEST(LogGp, ParametersLandInCalibratedBands) {
   // Sanity magnitudes (us-scale latencies, ~1 ns/B bandwidth).
   EXPECT_LT(ib.half_rtt_us, 7.0);
   EXPECT_GT(ib.G_ns_per_byte, 0.9);
+}
+
+TEST(LogGp, StatsSinkFoldsEveryRunDeterministically) {
+  Cluster::RunStats a, b;
+  (void)measure_loggp(ib_cluster(2), &a);
+  (void)measure_loggp(ib_cluster(2), &b);
+  EXPECT_NE(a.event_digest, 0u);
+  EXPECT_EQ(a.event_digest, b.event_digest);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+
+  // The fold covers all three clusters: the 1-byte ping-pong alone is a
+  // strict subset of the events.
+  microbench::PingPongOptions o;
+  o.sizes = {1};
+  o.repetitions = 50;
+  o.warmup = 5;
+  Cluster::RunStats pp;
+  o.stats = &pp;
+  (void)microbench::run_pingpong(ib_cluster(2), o);
+  EXPECT_GT(a.events_processed, pp.events_processed);
+  EXPECT_NE(a.event_digest, pp.event_digest);
 }
 
 TEST(LogGp, GapMatchesStreamingRate) {

@@ -261,6 +261,22 @@ TEST(SweepCli, BadProcessWideEnvFailsOnceBeforeTheSweep) {
     EXPECT_NE(err.find("bogus=1"), std::string::npos) << err;
   }
   {
+    // Read by every parallel-tier point's ParCluster; one error, not one
+    // per point.
+    const ScopedEnv threads("ICSIM_PAR_THREADS", "abc");
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(reg, {"--quiet", "alpha", "rndv"});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(lines(err), 1) << err;
+    EXPECT_EQ(err.rfind("icsim_sweep: ICSIM_PAR_THREADS='abc'", 0), 0u)
+        << err;
+  }
+  {
+    const ScopedEnv threads("ICSIM_PAR_THREADS", "2");
+    EXPECT_EQ(run_cli(reg, {"--quiet", "alpha"}), 0);
+  }
+  {
     // ICSIM_TRACE_EVENTS only sizes a trace ICSIM_TRACE asked for; on its
     // own it is not read, so it is not checked either.
     const ScopedEnv events("ICSIM_TRACE_EVENTS", "-1");
