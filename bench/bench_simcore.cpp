@@ -56,6 +56,53 @@ void BM_EventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatch);
 
+// Post + dispatch of a 72-byte closure shaped like net::Fabric::forward's
+// per-hop continuation (owner pointer, route, hop index, bytes, DeliveryFn,
+// last-hop flag, partition): the hottest closure in a fabric run, and the
+// one that sizes the engine's inline closure buffer.
+void BM_EventPostHop(benchmark::State& state) {
+  sim::Engine e;
+  std::int64_t t = 0;
+  std::uint64_t sink = 0;
+  const net::Route route{};
+  for (auto _ : state) {
+    net::DeliveryFn done = [&sink](net::DeliveryStatus s) {
+      sink += static_cast<std::uint64_t>(s);
+    };
+    auto hop = [&sink, route, index = static_cast<int>(t & 7),
+                bytes = std::uint32_t{2048}, done = std::move(done),
+                last = (t & 1) == 0, p = 0]() mutable {
+      if (last) {
+        done(net::DeliveryStatus::delivered);
+      } else {
+        sink += static_cast<std::uint64_t>(route.hops() + index + p) + bytes;
+      }
+    };
+    static_assert(sizeof(hop) == 72, "shaped like the fabric hop closure");
+    e.post_at(sim::Time::ps(++t), std::move(hop));
+    if (t % 1024 == 0) e.run();
+  }
+  e.run();
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventPostHop);
+
+// Schedule a cancellable event, cancel it, and drop it when its time comes:
+// the MPI watchdog pattern.
+void BM_EventScheduleCancel(benchmark::State& state) {
+  sim::Engine e;
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    sim::EventHandle h = e.schedule_at(sim::Time::ps(++t), [] {});
+    h.cancel();
+    if (t % 1024 == 0) e.run();
+  }
+  e.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventScheduleCancel);
+
 void BM_FiberSwitch(benchmark::State& state) {
   sim::Fiber f([] {
     for (;;) sim::Fiber::yield();

@@ -151,8 +151,9 @@ void Hca::retry_chunk(const std::shared_ptr<InFlight>& msg,
 void Hca::chunk_arrived_at_dst(const std::shared_ptr<InFlight>& msg,
                                std::uint32_t chunk_bytes) {
   // This runs on the destination HCA: DMA the chunk into host memory.
-  Hca& self = *msg->dst;
-  self.host_.dma(chunk_bytes, [msg, &self] {
+  Hca& dst = *msg->dst;
+  dst.host_.dma(chunk_bytes, [msg, hca = &dst] {
+    Hca& self = *hca;
     assert(msg->remaining_chunks > 0);
     ICSIM_CHECK(msg->remaining_chunks > 0,
                 "HCA write completed with more chunks than were posted");

@@ -77,9 +77,9 @@ struct FabricPartitions {
   Partitioning map;
   std::vector<sim::Engine*> engines;  ///< engines[p] runs partition p
   /// Run `fn` at absolute time `t` in partition `to`; called from event
-  /// code running in partition `from`.
-  std::function<void(int from, int to, sim::Time t, std::function<void()> fn)>
-      post_cross;
+  /// code running in partition `from`.  The hop continuation travels
+  /// inline in the sim::EventFn, never on the heap.
+  std::function<void(int from, int to, sim::Time t, sim::EventFn fn)> post_cross;
 };
 
 /// How a chunk's trip through the fabric ended.

@@ -11,8 +11,8 @@
 //     memory-contention factor (the Xeons share one front-side bus).
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/blocking.hpp"
@@ -76,21 +76,24 @@ class Node {
 
   /// Non-blocking host copy charged to the memory bus (NIC-driven copies).
   /// Completion is signalled through `done`; the returned time is advisory.
-  sim::Time host_copy_async(std::uint64_t bytes, std::function<void()> done) {  // icsim-lint: allow(nodiscard-time)
-    return membus_.transfer(bytes, std::move(done));
+  template <class F>
+  sim::Time host_copy_async(std::uint64_t bytes, F&& done) {  // icsim-lint: allow(nodiscard-time)
+    return membus_.transfer(bytes, std::forward<F>(done));
   }
 
   /// Asynchronous DMA across the PCI-X segment; returns completion time
   /// (advisory — completion is signalled through `done`).
-  sim::Time dma(std::uint64_t bytes, std::function<void()> done) {  // icsim-lint: allow(nodiscard-time)
-    return pcix_.transfer(bytes, std::move(done));
+  template <class F>
+  sim::Time dma(std::uint64_t bytes, F&& done) {  // icsim-lint: allow(nodiscard-time)
+    return pcix_.transfer(bytes, std::forward<F>(done));
   }
 
   /// Zero-cost ordering point on the PCI-X FIFO: `done` fires once every
   /// transaction already queued has drained (PCI ordering semantics for a
   /// doorbell behind posted DMA), without consuming bus time itself.
-  sim::Time pcix_ordered(std::function<void()> done) {  // icsim-lint: allow(nodiscard-time)
-    return pcix_.transfer_ordered(std::move(done));
+  template <class F>
+  sim::Time pcix_ordered(F&& done) {  // icsim-lint: allow(nodiscard-time)
+    return pcix_.transfer_ordered(std::forward<F>(done));
   }
 
   /// Fault injection: freeze the node's memory bus and PCI-X segment for

@@ -20,11 +20,11 @@ namespace {
 CollectiveWorld::CollectiveWorld(ParEngine& engine, net::Fabric& fabric,
                                  const ParNetParams& params)
     : par_(engine), fabric_(fabric), prm_(params) {
-  const int n = fabric.num_nodes();
-  ranks_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  ranks_ = fabric.num_nodes();
+  for (int i = 0; i < ranks_; ++i) {
+    if (i % kRankBlock == 0) blocks_.emplace_back().reserve(kRankBlock);
     const int part = fabric.partitioning().of_node(i);
-    ranks_.emplace_back(i, part, par_.shard(part));
+    blocks_.back().emplace_back(i, part, par_.shard(part));
   }
 }
 
@@ -35,10 +35,12 @@ void CollectiveWorld::start(const CollectiveSpec& spec) {
   pow2_ranks_ = n < 1 ? 1 : (1 << floor_log2(n));
   rounds_ = spec_.op == Collective::barrier ? ceil_log2(n < 1 ? 1 : n)
                                             : floor_log2(n < 1 ? 1 : n);
-  for (Rank& r : ranks_) {
-    Rank* rank = &r;
-    par_.shard(rank->part).post_at(sim::Time::zero(),
-                                   [this, rank] { begin_iteration(*rank); });
+  for (std::vector<Rank>& block : blocks_) {
+    for (Rank& r : block) {
+      Rank* rank = &r;
+      par_.shard(rank->part).post_at(sim::Time::zero(),
+                                     [this, rank] { begin_iteration(*rank); });
+    }
   }
 }
 
@@ -75,7 +77,7 @@ void CollectiveWorld::send(Rank& from, int to, int iter, int phase, int round,
 void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
                                std::uint32_t nchunks, int phase) {
   // Runs in dst's partition (net::Fabric delivers there).
-  Rank& r = ranks_[static_cast<std::size_t>(dst)];
+  Rank& r = rank(dst);
   std::uint32_t& got = r.chunks_got[key];
   ++got;
   if (got < nchunks) return;
@@ -87,7 +89,7 @@ void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
   sim::Time cost = prm_.recv_overhead;
   if (spec_.op == Collective::allreduce && phase != 2) cost += prm_.reduce_cost;
   r.cpu.acquire(cost, [this, dst, key] {
-    on_message(ranks_[static_cast<std::size_t>(dst)], key);
+    on_message(rank(dst), key);
   });
 }
 
@@ -188,21 +190,27 @@ bool CollectiveWorld::all_done() const { return ranks_done() == ranks(); }
 
 int CollectiveWorld::ranks_done() const {
   int n = 0;
-  for (const Rank& r : ranks_) n += r.done ? 1 : 0;
+  for (const std::vector<Rank>& block : blocks_) {
+    for (const Rank& r : block) n += r.done ? 1 : 0;
+  }
   return n;
 }
 
 sim::Time CollectiveWorld::completion_time() const {
   sim::Time t = sim::Time::zero();
-  for (const Rank& r : ranks_) {
-    if (r.finished > t) t = r.finished;
+  for (const std::vector<Rank>& block : blocks_) {
+    for (const Rank& r : block) {
+      if (r.finished > t) t = r.finished;
+    }
   }
   return t;
 }
 
 std::uint64_t CollectiveWorld::messages_sent() const {
   std::uint64_t v = 0;
-  for (const Rank& r : ranks_) v += r.sent;
+  for (const std::vector<Rank>& block : blocks_) {
+    for (const Rank& r : block) v += r.sent;
+  }
   return v;
 }
 

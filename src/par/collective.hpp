@@ -85,7 +85,7 @@ class CollectiveWorld {
   [[nodiscard]] bool all_done() const;
   /// Ranks that finished every iteration (== ranks() when all_done()).
   [[nodiscard]] int ranks_done() const;
-  [[nodiscard]] int ranks() const { return static_cast<int>(ranks_.size()); }
+  [[nodiscard]] int ranks() const { return ranks_; }
   /// Simulated instant the last rank finished its last iteration.
   [[nodiscard]] sim::Time completion_time() const;
   /// Point-to-point messages sent across all ranks and iterations.
@@ -141,9 +141,18 @@ class CollectiveWorld {
   CollectiveSpec spec_;
   int rounds_ = 0;     ///< barrier: ceil(log2 n); allreduce: log2 of block
   int pow2_ranks_ = 1; ///< largest power of two <= n (allreduce block)
-  /// Reserved once in the constructor and never resized, so the Rank
-  /// pointers that events capture stay valid.
-  std::vector<Rank> ranks_;
+  /// Ranks in blocks of kRankBlock, each reserved once in the constructor
+  /// and never resized, so the Rank pointers that events capture stay
+  /// valid.  Blocks, not one array: a 4096-rank world would otherwise ask
+  /// for one ~800 KB block, which the allocator serves from fresh pages (a
+  /// setup cost of ~200 page faults) unless a hole that large is free.
+  static constexpr int kRankBlock = 64;
+  [[nodiscard]] Rank& rank(int i) {
+    return blocks_[static_cast<std::size_t>(i / kRankBlock)]
+                  [static_cast<std::size_t>(i % kRankBlock)];
+  }
+  int ranks_ = 0;
+  std::vector<std::vector<Rank>> blocks_;
 };
 
 }  // namespace icsim::par

@@ -29,8 +29,7 @@ ParEngine::ParEngine(const ParConfig& config) : lookahead_(config.lookahead) {
   if (threads_ > config.partitions) threads_ = config.partitions;
 }
 
-void ParEngine::post_cross(int from, int to, sim::Time t,
-                           std::function<void()> fn) {
+void ParEngine::post_cross(int from, int to, sim::Time t, sim::EventFn&& fn) {
   // The conservative contract: nothing may cross a partition boundary with
   // less than the declared lookahead of simulated delay.  A violation here
   // is a modeling bug (the hand-off would have to be delivered into a
@@ -39,7 +38,7 @@ void ParEngine::post_cross(int from, int to, sim::Time t,
               "cross-partition post inside the current window (lookahead "
               "violation)");
   Shard& src = *shards_[static_cast<std::size_t>(from)];
-  src.outbox.push_back(CrossMsg{t, to, src.out_seq++, std::move(fn)});
+  src.outbox.emplace_back(t, to, src.out_seq++, std::move(fn));
 }
 
 void ParEngine::run_window(int p) {
@@ -53,32 +52,27 @@ void ParEngine::coordinate() {
   // sequence numbers the destination engines hand out are independent of
   // worker scheduling, which is what keeps the merged digest thread-count
   // invariant.
-  struct Ref {
-    sim::Time t;
-    int src;
-    std::uint64_t seq;
-    CrossMsg* msg;
-  };
-  std::vector<Ref> refs;
+  refs_.clear();
   for (int p = 0; p < partitions(); ++p) {
     for (CrossMsg& m : shards_[static_cast<std::size_t>(p)]->outbox) {
-      refs.push_back(Ref{m.t, p, m.seq, &m});
+      refs_.push_back(CrossRef{m.t, p, m.seq, &m});
     }
   }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  });
-  for (Ref& r : refs) {
+  std::sort(refs_.begin(), refs_.end(),
+            [](const CrossRef& a, const CrossRef& b) {
+              if (a.t != b.t) return a.t < b.t;
+              if (a.src != b.src) return a.src < b.src;
+              return a.seq < b.seq;
+            });
+  for (CrossRef& r : refs_) {
     shard(r.msg->to).post_at(r.t, std::move(r.msg->fn));
   }
-  cross_posts_ += refs.size();
+  cross_posts_ += refs_.size();
   for (auto& sh : shards_) sh->outbox.clear();
 
   // Open the next window at the earliest live event anywhere; quiesce when
   // every shard has drained.  next_event_time() drops (and counts) any
-  // cancelled tombstones at the heads, so the window start is the time of
+  // cancelled keys at the heads, so the window start is the time of
   // the next event that will actually execute.
   std::optional<sim::Time> start;
   for (auto& sh : shards_) {

@@ -29,7 +29,6 @@
 // wall clock only, never simulated results.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -75,8 +74,9 @@ class ParEngine {
   /// means a model component hands simulated work across partitions faster
   /// than the declared lookahead, which would make results depend on the
   /// window schedule.  Delivery happens at the next barrier, in canonical
-  /// (t, from, per-source seq) order.
-  void post_cross(int from, int to, sim::Time t, std::function<void()> fn);
+  /// (t, from, per-source seq) order.  `fn` is held inline (sim::EventFn)
+  /// until then and moved into the destination engine's event slot.
+  void post_cross(int from, int to, sim::Time t, sim::EventFn&& fn);
 
   /// Run all shards to global quiescence (every queue drained).  Spawns
   /// threads_used() - 1 extra workers; with one thread the same window
@@ -100,7 +100,7 @@ class ParEngine {
     sim::Time t;
     int to;
     std::uint64_t seq;  ///< per-source counter: canonical tie-break
-    std::function<void()> fn;
+    sim::EventFn fn;
   };
   struct Shard {
     sim::Engine engine;
@@ -118,7 +118,16 @@ class ParEngine {
   /// completion function — exactly one thread executes it per window.
   void coordinate();
 
+  /// A buffered cross-post in canonical (t, src, seq) order.
+  struct CrossRef {
+    sim::Time t;
+    int src;
+    std::uint64_t seq;
+    CrossMsg* msg;
+  };
+
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<CrossRef> refs_;  ///< coordinate()'s sort buffer, kept warm
   sim::Time lookahead_;
   int threads_;
   sim::Time window_end_ = sim::Time::zero();  ///< exclusive end of the window

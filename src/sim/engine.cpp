@@ -1,7 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <utility>
+#include <memory>
 
 namespace icsim::sim {
 
@@ -19,10 +20,42 @@ Time Engine::clamped(Time t) {
   return now_;
 }
 
-EventHandle Engine::schedule_at(Time t, std::function<void()> fn) {
-  auto alive = std::make_shared<bool>(true);
-  queue_.push(Entry{clamped(t), next_seq_++, std::move(fn), alive});
-  return EventHandle{std::move(alive)};
+Engine::~Engine() {
+  // Every constructed closure belongs to exactly one queued key (cancelled
+  // ones included), so this destroys each pending closure once.
+  for (const Key& k : heap_) slot(k.slot).fn.destroy();
+}
+
+std::uint32_t Engine::fresh_slot() {
+  const std::uint32_t i = slots_used_;
+  if ((i >> kChunkBits) == chunks_.size()) {
+    // Default-initialised: the slots stay untouched until handed out.
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkMask + 1));
+  }
+  slot(i).gen = 0;
+  return i;
+}
+
+namespace {
+struct Later {
+  template <class K>
+  bool operator()(const K& a, const K& b) const {
+    if (a.t != b.t) return a.t > b.t;
+    return a.seq > b.seq;
+  }
+};
+}  // namespace
+
+void Engine::push(const Key& k) {
+  heap_.push_back(k);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+Engine::Key Engine::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key k = heap_.back();
+  heap_.pop_back();
+  return k;
 }
 
 void Engine::sample_queue_depth() {
@@ -31,16 +64,17 @@ void Engine::sample_queue_depth() {
   }
   const auto t = now_;
   tracer_.counter(trace::Category::engine, *trace_id_, "queue_depth", t,
-                  static_cast<double>(queue_.size()));
+                  static_cast<double>(heap_.size()));
   tracer_.counter(trace::Category::engine, *trace_id_, "events_processed", t,
                   static_cast<double>(processed_));
 }
 
-void Engine::drop_cancelled(Entry&& tombstone) {
-  // A cancelled entry leaves the queue without executing.  Count it: the
+void Engine::drop_cancelled(std::uint32_t i) {
+  // A cancelled event leaves the queue without executing.  Count it: the
   // events_pending() invariant (scheduled == processed + dropped + pending)
   // must reconcile across runs that differ only in cancellation timing.
-  (void)tombstone;  // the closure and tombstone die here
+  slot(i).fn.destroy();
+  release(i);
   ++cancelled_dropped_;
   if (cancelled_dropped_metric_ == nullptr) {
     cancelled_dropped_metric_ =
@@ -50,32 +84,31 @@ void Engine::drop_cancelled(Entry&& tombstone) {
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the closure must be moved out, so pop a
-    // copy of the control fields first and steal the function via const_cast
-    // (safe: the entry is removed immediately afterwards).
-    auto& top = const_cast<Entry&>(queue_.top());
-    Entry e{top.t, top.seq, std::move(top.fn), std::move(top.alive)};
-    queue_.pop();
-    if (e.alive && !*e.alive) {  // cancelled
-      drop_cancelled(std::move(e));
+  while (!heap_.empty()) {
+    const Key k = pop();
+    Slot& s = slot(k.slot);
+    if (s.gen != k.gen) {  // cancelled
+      drop_cancelled(k.slot);
       continue;
     }
-    assert(e.t >= now_);
-    ICSIM_CHECK(e.t >= now_, "engine time must be monotonic");
-    now_ = e.t;
+    assert(k.t >= now_);
+    ICSIM_CHECK(k.t >= now_, "engine time must be monotonic");
+    now_ = k.t;
     ++processed_;
-    digest_.fold(static_cast<std::uint64_t>(e.t.picoseconds()));
-    digest_.fold(e.seq);
-    // The event is now fired, not pending: flip the tombstone before the
+    digest_.fold(static_cast<std::uint64_t>(k.t.picoseconds()));
+    digest_.fold(k.seq);
+    // The event is now fired, not pending: bump the generation before the
     // closure runs so handles held across the firing answer pending() with
     // false and a late cancel() is a no-op (it would otherwise "cancel" an
     // event that already executed, silently).
-    if (e.alive) *e.alive = false;
+    ++s.gen;
     // Periodic self-observation: queue depth + throughput, cheap enough to
     // key off the processed-event count (one branch when tracing is off).
     if (tracer_.enabled() && (processed_ & 1023u) == 0) sample_queue_depth();
-    e.fn();
+    // The slot returns to the free list once the closure is gone, also when
+    // it throws; until then the events it posts take other slots.
+    const SlotRelease release_after{*this, k.slot};
+    s.fn.run();
     return true;
   }
   return false;
@@ -88,13 +121,10 @@ Time Engine::run() {
 }
 
 std::optional<Time> Engine::next_event_time() {
-  while (!queue_.empty()) {
-    const Entry& head = queue_.top();
-    if (head.alive == nullptr || *head.alive) return head.t;
-    auto& top = const_cast<Entry&>(queue_.top());
-    Entry e{top.t, top.seq, std::move(top.fn), std::move(top.alive)};
-    queue_.pop();
-    drop_cancelled(std::move(e));
+  while (!heap_.empty()) {
+    const Key& head = heap_.front();
+    if (slot(head.slot).gen == head.gen) return head.t;
+    drop_cancelled(pop().slot);
   }
   return std::nullopt;
 }
@@ -109,7 +139,7 @@ Time Engine::run_until(Time deadline) {
     if (!next.has_value() || *next > deadline) break;
     step();
   }
-  if (now_ < deadline && queue_.empty()) {
+  if (now_ < deadline && heap_.empty()) {
     return now_;
   }
   now_ = deadline > now_ ? deadline : now_;

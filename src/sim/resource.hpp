@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -26,22 +27,28 @@ class FifoResource {
   FifoResource(Engine& engine, std::string name)
       : engine_(&engine), name_(std::move(name)) {}
 
-  /// Enqueue a request needing `service` time; `on_done` fires when served.
-  /// Returns the completion time (advisory when a callback is given).
-  Time acquire(Time service, std::function<void()> on_done) {  // icsim-lint: allow(nodiscard-time)
-    const Time start = next_free_ > engine_->now() ? next_free_ : engine_->now();
-    const Time finish = start + service;
-    next_free_ = finish;
-    busy_accum_ += service;
-    ++requests_;
-    if (on_done) {
-      engine_->post_at(finish, std::move(on_done));
+  /// Enqueue a request needing `service` time; `on_done` fires when served
+  /// (an empty std::function or nullptr means no callback).  The closure
+  /// goes straight into the engine's event slot.  Returns the completion
+  /// time (advisory when a callback is given).
+  template <class F>
+  Time acquire(Time service, F&& on_done) {  // icsim-lint: allow(nodiscard-time)
+    const Time finish = acquire(service);
+    if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<F>>) {
+      if (!is_empty(on_done)) engine_->post_at(finish, std::forward<F>(on_done));
     }
     return finish;
   }
 
   /// Reserve without a callback (caller tracks the returned finish time).
-  [[nodiscard]] Time acquire(Time service) { return acquire(service, nullptr); }
+  [[nodiscard]] Time acquire(Time service) {
+    const Time start = next_free_ > engine_->now() ? next_free_ : engine_->now();
+    const Time finish = start + service;
+    next_free_ = finish;
+    busy_accum_ += service;
+    ++requests_;
+    return finish;
+  }
 
   /// Earliest instant a new request could start service.
   [[nodiscard]] Time next_free() const { return next_free_; }
@@ -53,6 +60,15 @@ class FifoResource {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
+  template <class F>
+  static bool is_empty(const F& f) {
+    if constexpr (std::is_same_v<F, std::function<void()>>) {
+      return !f;
+    } else {
+      return false;  // a closure is never empty
+    }
+  }
+
   Engine* engine_;
   std::string name_;
   Time next_free_ = Time::zero();
@@ -68,15 +84,20 @@ class BandwidthResource {
                     Time per_request_overhead = Time::zero())
       : fifo_(engine, std::move(name)), bw_(bw), overhead_(per_request_overhead) {}
 
-  Time transfer(std::uint64_t bytes, std::function<void()> on_done) {  // icsim-lint: allow(nodiscard-time)
-    return fifo_.acquire(overhead_ + bw_.transfer_time(bytes), std::move(on_done));
+  template <class F>
+  Time transfer(std::uint64_t bytes, F&& on_done) {  // icsim-lint: allow(nodiscard-time)
+    return fifo_.acquire(overhead_ + bw_.transfer_time(bytes),
+                         std::forward<F>(on_done));
   }
-  [[nodiscard]] Time transfer(std::uint64_t bytes) { return transfer(bytes, nullptr); }
+  [[nodiscard]] Time transfer(std::uint64_t bytes) {
+    return fifo_.acquire(overhead_ + bw_.transfer_time(bytes));
+  }
 
   /// Ordering point: fires after everything already queued, costing no
   /// service time (not even the per-request overhead).
-  Time transfer_ordered(std::function<void()> on_done) {  // icsim-lint: allow(nodiscard-time)
-    return fifo_.acquire(Time::zero(), std::move(on_done));
+  template <class F>
+  Time transfer_ordered(F&& on_done) {  // icsim-lint: allow(nodiscard-time)
+    return fifo_.acquire(Time::zero(), std::forward<F>(on_done));
   }
 
   /// Occupy the resource for `d` without moving any bytes (fault injection:

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -251,6 +253,137 @@ TEST(Engine, NextEventTimeSkipsAndCountsTombstones) {
   EXPECT_EQ(e.events_cancelled_dropped(), 1u);
   e.run();
   EXPECT_FALSE(e.next_event_time().has_value());
+}
+
+TEST(Engine, StaleHandleDoesNotReachTheSlotsNextEvent) {
+  // Generation ABA: a freed slot is reused last-in first-out, so the event
+  // scheduled right after a fire or a drop takes the finished event's slot.
+  // The old handle's generation no longer matches: it must neither report
+  // the new event pending nor cancel it.
+  Engine e;
+  int fired = 0;
+  EventHandle done = e.schedule_at(Time::us(1), [&] { ++fired; });
+  e.run();
+  EventHandle next = e.schedule_at(Time::us(2), [&] { fired += 10; });
+  EXPECT_FALSE(done.pending());
+  EXPECT_TRUE(next.pending());
+  done.cancel();
+  EXPECT_TRUE(next.pending());
+  e.run();
+  EXPECT_EQ(fired, 11);
+
+  EventHandle dropped = e.schedule_at(Time::us(3), [&] { fired += 100; });
+  dropped.cancel();
+  e.run();  // drops the cancelled key and frees its slot
+  EventHandle reused = e.schedule_at(Time::us(4), [&] { fired += 1000; });
+  dropped.cancel();
+  EXPECT_FALSE(dropped.pending());
+  EXPECT_TRUE(reused.pending());
+  e.run();
+  EXPECT_EQ(fired, 1011);
+  EXPECT_EQ(e.events_cancelled_dropped(), 1u);
+}
+
+TEST(Engine, PendingClosuresAreDestroyedOnceWithTheEngine) {
+  auto token = std::make_shared<int>(0);
+  {
+    Engine e;
+    e.post_at(Time::us(1), [token] {});
+    e.post_at(Time::us(5), [token] {});
+    EventHandle h = e.schedule_at(Time::us(6), [token] {});
+    e.schedule_at(Time::us(7), [token] {});
+    EXPECT_EQ(token.use_count(), 5);
+    e.run_until(Time::us(2));  // the first closure fires and is destroyed
+    EXPECT_EQ(token.use_count(), 4);
+    h.cancel();  // cancelled but still queued: the engine still owns it
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Engine, ClosureMayPostMoreThanAChunkWhileItRuns) {
+  // A running closure lives in its slot; the events it posts grow the slab
+  // by several chunks, and its own captures must stay valid throughout
+  // (ASan/UBSan CI runs this case).
+  Engine e;
+  std::vector<int> order;
+  auto payload = std::make_shared<std::vector<int>>(std::vector<int>{7, 8, 9});
+  int seen = 0;
+  e.post_at(Time::us(1), [&, payload, tag = 42] {
+    for (int i = 0; i < 5000; ++i) {
+      e.post_in(Time::ns(i % 7), [&order, i] { order.push_back(i); });
+    }
+    seen = tag + payload->at(2);
+  });
+  e.run();
+  EXPECT_EQ(seen, 51);
+  ASSERT_EQ(order.size(), 5000u);
+  // Ties keep posting order: all i with the same i % 7, ascending.
+  std::vector<int> expect;
+  for (int r = 0; r < 7; ++r) {
+    for (int i = r; i < 5000; i += 7) expect.push_back(i);
+  }
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(Engine, MoveOnlyCapturesAreAccepted) {
+  Engine e;
+  int out = 0;
+  auto a = std::make_unique<int>(1);
+  e.post_at(Time::us(1), [p = std::move(a), &out] { out += *p; });
+  auto b = std::make_unique<int>(20);
+  EventHandle h = e.schedule_in(Time::us(2), [p = std::move(b), &out] { out += *p; });
+  // An EventFn (the cross-partition carrier) moves into a slot as well.
+  EventFn carried = [p = std::make_unique<int>(300), &out] { out += *p; };
+  e.post_at(Time::us(3), std::move(carried));
+  EXPECT_TRUE(h.pending());
+  e.run();
+  EXPECT_EQ(out, 321);
+}
+
+TEST(Engine, MixedTiesCancelsAndSchedulesKeepThePinnedDigest) {
+  // Equal timestamps, cancellable and fire-and-forget events, cancels from
+  // inside a running event, and slot reuse.  The order and digest were
+  // recorded with the std::priority_queue engine this one replaced; (t, seq)
+  // is a total order, so the heap layout cannot move them.
+  Engine e;
+  std::vector<int> order;
+  std::vector<EventHandle> hs;
+  auto log = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+  // Phase 1: 24 events on three shared timestamps, every fourth cancellable.
+  for (int i = 0; i < 24; ++i) {
+    const Time t = Time::us(1 + i % 3);
+    if (i % 4 == 0) {
+      hs.push_back(e.schedule_at(t, log(i)));
+    } else {
+      e.post_at(t, log(i));
+    }
+  }
+  hs[1].cancel();  // event 4
+  hs[4].cancel();  // event 16
+  // An event that posts at its own timestamp and cancels a tied sibling.
+  e.post_at(Time::us(2), [&] {
+    order.push_back(100);
+    e.post_in(Time::zero(), log(101));
+    hs[5].cancel();  // event 20, due at 3 us
+    hs.push_back(e.schedule_in(Time::zero(), log(102)));
+  });
+  e.run_until(Time::us(2));
+  // Phase 2: freed slots are taken again; a stale handle must not reach them.
+  hs[0].cancel();  // fired already: a no-op
+  for (int i = 0; i < 6; ++i) {
+    hs.push_back(e.schedule_at(Time::us(3), log(200 + i)));
+    e.post_at(Time::us(4), log(300 + i));
+  }
+  hs[hs.size() - 2].cancel();  // event 204
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0,   3,   6,   9,   12,  15,  18,  21,  1,
+                                           7,   10,  13,  19,  22,  100, 101, 102, 2,
+                                           5,   8,   11,  14,  17,  23,  200, 201, 202,
+                                           203, 205, 300, 301, 302, 303, 304, 305}));
+  EXPECT_EQ(e.event_digest(), 0xda4d904b35103bebull);
+  EXPECT_EQ(e.events_cancelled_dropped(), 4u);
 }
 
 TEST(Engine, QueueDepthSamplingRegistersOneEngineComponent) {

@@ -33,7 +33,8 @@
 //
 // Lambdas are found both as direct sink arguments and as named locals
 // (`auto cont = [...]; ... post_cross(p, q, t, std::move(cont));` — the
-// partitioned net::Fabric::forward shape).
+// partitioned net::Fabric::forward shape), also after a move into another
+// local (`sim::EventFn fn = std::move(cont);`).
 
 #include <algorithm>
 #include <map>
@@ -48,13 +49,16 @@ namespace icsim_lint {
 namespace {
 
 /// Sinks whose callable argument runs after the enclosing frame returned.
-/// `acquire` is the FifoResource completion callback; `Fiber` / `spawn`
-/// cover fiber bodies (resumed from the scheduler, never from the arming
-/// frame).
+/// `acquire` is the FifoResource completion callback, and `transfer*`,
+/// `dma`, `host_copy_async` and `pcix_ordered` forward theirs to it;
+/// `Fiber` / `spawn` cover fiber bodies (resumed from the scheduler, never
+/// from the arming frame).
 const std::set<std::string>& deferred_sinks() {
   static const std::set<std::string> sinks = {
-      "post_at",    "post_in", "schedule_at", "schedule_in",
-      "post_cross", "acquire", "spawn",       "Fiber"};
+      "post_at",  "post_in",          "schedule_at",     "schedule_in",
+      "post_cross", "acquire",        "transfer",        "transfer_ordered",
+      "dma",      "host_copy_async",  "pcix_ordered",    "spawn",
+      "Fiber"};
   return sinks;
 }
 
@@ -111,6 +115,7 @@ class FnScan {
   void run() {
     collect_frame_vars();
     collect_lambdas();
+    collect_aliases();
     scan_sinks();
   }
 
@@ -221,6 +226,28 @@ class FnScan {
         by_name_[t_[j - 2].text] = lambdas_.size();
       }
       lambdas_.push_back(lam);
+    }
+  }
+
+  /// `sim::EventFn fn = std::move(cont);` (or `= cont`) re-homes a named
+  /// lambda in another local; a sink handed `fn` defers the same captures.
+  void collect_aliases() {
+    for (std::size_t j = fn_.body_begin + 1;
+         j + 1 < fn_.body_end && j + 1 < t_.size(); ++j) {
+      if (!is_ident(j) || text(j + 1) != "=") continue;
+      std::size_t k = j + 2;
+      std::vector<std::size_t> idents;
+      for (; k < fn_.body_end && k < t_.size() && text(k) != ";"; ++k) {
+        const std::string& x = text(k);
+        if (x == "std" || x == "move" || x == "::" || x == "(" || x == ")") {
+          continue;
+        }
+        if (!is_ident(k)) break;
+        idents.push_back(k);
+      }
+      if (text(k) != ";" || idents.size() != 1) continue;
+      const auto it = by_name_.find(t_[idents[0]].text);
+      if (it != by_name_.end()) by_name_[t_[j].text] = it->second;
     }
   }
 
