@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/calibration.hpp"
 #include "ib/reg_cache.hpp"
 #include "mpi/matcher.hpp"
 #include "net/fabric.hpp"
@@ -57,8 +58,8 @@ void BM_EventDispatch(benchmark::State& state) {
 BENCHMARK(BM_EventDispatch);
 
 // Post + dispatch of a 72-byte closure shaped like net::Fabric::forward's
-// per-hop continuation (owner pointer, route, hop index, bytes, DeliveryFn,
-// last-hop flag, partition): the hottest closure in a fabric run, and the
+// per-hop continuation (owner pointer, route, hop index, next hop's link
+// slot, bytes, DeliveryFn): the hottest closure in a fabric run, and the
 // one that sizes the engine's inline closure buffer.
 void BM_EventPostHop(benchmark::State& state) {
   sim::Engine e;
@@ -69,13 +70,14 @@ void BM_EventPostHop(benchmark::State& state) {
     net::DeliveryFn done = [&sink](net::DeliveryStatus s) {
       sink += static_cast<std::uint64_t>(s);
     };
-    auto hop = [&sink, route, index = static_cast<int>(t & 7),
-                bytes = std::uint32_t{2048}, done = std::move(done),
-                last = (t & 1) == 0, p = 0]() mutable {
-      if (last) {
+    auto hop = [&sink, route, index = static_cast<int>(t & 1),
+                next_part = 0, next_slot = static_cast<std::uint32_t>(t & 7),
+                bytes = std::uint32_t{2048}, done = std::move(done)]() mutable {
+      if (index + 1 == route.hops()) {
         done(net::DeliveryStatus::delivered);
       } else {
-        sink += static_cast<std::uint64_t>(route.hops() + index + p) + bytes;
+        sink += static_cast<std::uint64_t>(route.hops() + index + next_part) +
+                next_slot + bytes;
       }
     };
     static_assert(sizeof(hop) == 72, "shaped like the fabric hop closure");
@@ -130,6 +132,32 @@ void BM_FabricChunk(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FabricChunk);
+
+// The same on a calibrated tree the size of the parallel tier's largest
+// runs (Arg 0: IB's radix-12 tree, 1: Elan's radix-4 tree; Arg 1: nodes),
+// where a fabric holds thousands of links.  Destinations are a fixed
+// scatter, so most chunks climb to the top level.  The fabric is built
+// before timing; its links are created during the first iterations.
+void BM_FabricChunkTree(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(1));
+  sim::Engine e;
+  net::Fabric f(e,
+                state.range(0) == 0 ? core::ib_fabric(nodes)
+                                    : core::elan_fabric(nodes),
+                nodes);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const auto src = static_cast<int>(i % static_cast<std::uint64_t>(nodes));
+    const auto hop = static_cast<int>(
+        1 + (i * 2654435761u >> 7) % static_cast<std::uint64_t>(nodes - 1));
+    f.inject(src, (src + hop) % nodes, 2048, nullptr);
+    ++i;
+    if (i % 256 == 0) e.run();
+  }
+  e.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FabricChunkTree)->Args({0, 4096})->Args({1, 4096});
 
 void BM_MatcherArrivePosted(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));

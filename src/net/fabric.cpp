@@ -1,5 +1,6 @@
 #include "net/fabric.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -27,6 +28,67 @@ Fabric::Fabric(FabricPartitions parts, const FabricConfig& config,
     throw std::invalid_argument(
         "Fabric: partitioning does not match the engine count");
   }
+  size_link_tables();
+}
+
+void Fabric::size_link_tables() {
+  const auto k = static_cast<std::uint64_t>(topo_.radix());
+  const int n = topo_.levels();
+  const auto nodes = static_cast<std::uint64_t>(num_nodes_);
+  const std::uint64_t leaves = (nodes + k - 1) / k;  // populated leaf words
+  const auto parts = static_cast<std::uint64_t>(shards_.size());
+  const auto per_part = static_cast<std::uint64_t>(part_.map.leaves_per_part);
+  for (std::uint64_t p = 0; p < parts; ++p) {
+    Shard& sh = shards_[p];
+    // The words partition p owns (of_word): a slice, or the rest for the
+    // last partition.  Its nodes are the ones under its leaf words.
+    const std::uint64_t first = p * per_part;
+    const std::uint64_t end = p + 1 == parts ? leaves : (p + 1) * per_part;
+    sh.first_word = static_cast<std::uint32_t>(first);
+    sh.first_node = static_cast<int>(std::min(first * k, nodes));
+    std::uint64_t size =
+        2 * (std::min(end * k, nodes) - static_cast<std::uint64_t>(sh.first_node));
+    sh.levels.resize(static_cast<std::size_t>(n));
+    std::uint64_t span = 1;  // k^level
+    for (int l = 0; l < n; ++l, span *= k) {
+      // A route's level-l switch keeps a populated leaf word's digits from
+      // l up and may take any low l digits, so it lies below `reach`.
+      const std::uint64_t reach = (leaves + span - 1) / span * span;
+      const std::uint64_t hi =
+          p + 1 == parts ? reach : std::min(end, reach);
+      LevelSlots& lv = sh.levels[static_cast<std::size_t>(l)];
+      lv.words = static_cast<std::uint32_t>(hi > first ? hi - first : 0);
+      lv.up_port = static_cast<std::uint32_t>(l > 0 ? k : 0);
+      lv.ports = lv.up_port + static_cast<std::uint32_t>(l + 1 < n ? k : 0);
+      lv.base = static_cast<std::uint32_t>(size);
+      size += static_cast<std::uint64_t>(lv.words) * lv.ports;
+    }
+    sh.slots.assign(static_cast<std::size_t>(size), 0);
+  }
+}
+
+Fabric::LinkSlot Fabric::locate(const Hop& hop) const {
+  const int p = owner(hop);
+  const Shard& sh = shards_[static_cast<std::size_t>(p)];
+  std::uint32_t slot = 0;
+  switch (hop.kind) {
+    case Hop::Kind::node_to_switch:
+    case Hop::Kind::switch_to_node:
+      slot = 2 * static_cast<std::uint32_t>(hop.node - sh.first_node) +
+             (hop.kind == Hop::Kind::switch_to_node ? 1u : 0u);
+      break;
+    case Hop::Kind::switch_to_switch: {
+      const LevelSlots& lv = sh.levels[static_cast<std::size_t>(hop.from.level)];
+      const bool up = hop.to.level > hop.from.level;
+      assert(hop.from.word - sh.first_word < lv.words);
+      slot = lv.base + (hop.from.word - sh.first_word) * lv.ports +
+             (up ? lv.up_port : 0) +
+             topo_.digit(hop.to.word, up ? hop.from.level : hop.to.level);
+      break;
+    }
+  }
+  assert(slot < sh.slots.size());
+  return LinkSlot{p, slot};
 }
 
 sim::Time Fabric::serialization_time(std::uint32_t bytes) const {
@@ -39,7 +101,7 @@ std::uint64_t Fabric::wire_bytes(std::uint32_t bytes) const {
   return static_cast<std::uint64_t>(bytes) + packets * cfg_.header_bytes;
 }
 
-std::uint64_t Fabric::key_of(const Hop& hop) const {
+std::uint64_t Fabric::order_key(const Hop& hop) const {
   switch (hop.kind) {
     case Hop::Kind::node_to_switch:
       return (1ull << 63) | static_cast<std::uint64_t>(hop.node);
@@ -64,15 +126,17 @@ std::string Fabric::link_name(const Hop& hop) const {
   return "link";
 }
 
-Fabric::DirectedLink& Fabric::link_for(int p, const Hop& hop) {
-  auto& links = shards_[static_cast<std::size_t>(p)].links;
-  const std::uint64_t key = key_of(hop);
-  auto it = links.find(key);
-  if (it == links.end()) {
-    it = links.try_emplace(key, engine(p), link_name(hop), hop).first;
-    if (hooks_ != nullptr) it->second.ber = hooks_->link_ber(hop);
+std::vector<std::uint32_t> Fabric::link_order(const Shard& sh) const {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  keyed.reserve(sh.links.size());
+  for (std::uint32_t i = 0; i < sh.links.size(); ++i) {
+    keyed.emplace_back(order_key(sh.links[i].hop), i);
   }
-  return it->second;
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint32_t> order;
+  order.reserve(keyed.size());
+  for (const auto& [key, i] : keyed) order.push_back(i);
+  return order;
 }
 
 void Fabric::set_fault_hooks(FaultHooks* hooks) {
@@ -82,8 +146,9 @@ void Fabric::set_fault_hooks(FaultHooks* hooks) {
         "cannot draw corruption");
   }
   hooks_ = hooks;
-  for (auto& [key, link] : shards_.front().links) {
-    (void)key;
+  Shard& sh = shards_.front();
+  for (const std::uint32_t i : link_order(sh)) {
+    DirectedLink& link = sh.links[i];
     link.ber = hooks_ != nullptr ? hooks_->link_ber(link.hop) : 0.0;
   }
 }
@@ -154,11 +219,15 @@ void Fabric::audit_drained() const {
               "fabric byte conservation: injected != delivered + dropped");
 }
 
-void Fabric::forward(Route route, int index, std::uint32_t bytes,
+void Fabric::forward(Route route, int index, LinkSlot at, std::uint32_t bytes,
                      DeliveryFn on_complete, sim::Time* first_tx_done) {
-  const Hop hop = topo_.hop(route, index);
-  const int p = owner(hop);
+  const int p = at.part;
+  Shard& sh = shards_[static_cast<std::size_t>(p)];
   sim::Engine& eng = engine(p);
+  std::uint32_t& entry = sh.slots[at.slot];
+  // A used link keeps its hop; only a link's first chunk computes it.
+  const Hop hop =
+      entry != 0 ? sh.links[entry - 1].hop : topo_.hop(route, index);
 
   // A link that failed while the chunk was already in flight swallows it.
   // (Injection-time failures are handled by rerouting in inject().)
@@ -168,7 +237,12 @@ void Fabric::forward(Route route, int index, std::uint32_t bytes,
     return;
   }
 
-  DirectedLink& link = link_for(p, hop);
+  if (entry == 0) {
+    sh.links.emplace_back(eng, link_name(hop), hop);
+    if (hooks_ != nullptr) sh.links.back().ber = hooks_->link_ber(hop);
+    entry = static_cast<std::uint32_t>(sh.links.size());
+  }
+  DirectedLink& link = sh.links[entry - 1];
 
   const sim::Time ser = serialization_time(bytes);
   // Entering a switch costs its pipeline latency; the endpoint hop does not.
@@ -209,24 +283,23 @@ void Fabric::forward(Route route, int index, std::uint32_t bytes,
 
   const sim::Time arrival = tx_done + cfg_.wire_latency + entry_latency;
   // The final hop is switch_to_node, owned by the destination's partition,
-  // so delivery is always local to p.
-  const bool last = index + 1 == route.hops();
-  const int next =
-      last || shards_.size() == 1 ? p : owner(topo_.hop(route, index + 1));
-  auto cont = [this, route, index, bytes, on_complete = std::move(on_complete),
-               last, p]() mutable {
-    if (last) {
-      finish(p, on_complete, DeliveryStatus::delivered, bytes);
+  // so delivery is always local to p; the continuation then keeps `at`.
+  const LinkSlot next =
+      index + 1 == route.hops() ? at : locate(topo_.hop(route, index + 1));
+  auto cont = [this, route, index, next, bytes,
+               on_complete = std::move(on_complete)]() mutable {
+    if (index + 1 == route.hops()) {
+      finish(next.part, on_complete, DeliveryStatus::delivered, bytes);
     } else {
-      forward(route, index + 1, bytes, std::move(on_complete), nullptr);
+      forward(route, index + 1, next, bytes, std::move(on_complete), nullptr);
     }
   };
-  if (next == p) {
+  if (next.part == p) {
     eng.post_at(arrival, std::move(cont));
   } else {
     // The hand-off carries wire + switch latency of simulated delay —
     // exactly lookahead_of(), so it never lands inside the running window.
-    part_.post_cross(p, next, arrival, std::move(cont));
+    part_.post_cross(p, next.part, arrival, std::move(cont));
   }
 }
 
@@ -235,7 +308,9 @@ sim::Time Fabric::inject(int src, int dst, std::uint32_t bytes,
   assert(src != dst && "Fabric::inject: local sends bypass the fabric");
   assert(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
   const Route def = topo_.route(src, dst);
-  const int p = owner(topo_.hop(def, 0));  // src's partition
+  // Every route of src starts on its endpoint link, in src's partition.
+  const LinkSlot first = locate(topo_.hop(def, 0));
+  const int p = first.part;
   Shard& sh = shards_[static_cast<std::size_t>(p)];
   sim::Engine& eng = engine(p);
   ++sh.chunks;
@@ -263,16 +338,16 @@ sim::Time Fabric::inject(int src, int dst, std::uint32_t bytes,
     route = *up;
   }
   sim::Time tx_done = sim::Time::zero();
-  forward(route, 0, bytes, std::move(on_complete), &tx_done);
+  forward(route, 0, first, bytes, std::move(on_complete), &tx_done);
   return tx_done;
 }
 
 sim::Time Fabric::max_link_busy_time() const {
   sim::Time best = sim::Time::zero();
   for (const Shard& sh : shards_) {
-    for (const auto& [key, link] : sh.links) {
-      (void)key;
-      if (link.tx.busy_time() > best) best = link.tx.busy_time();
+    for (const std::uint32_t i : link_order(sh)) {
+      const sim::Time busy = sh.links[i].tx.busy_time();
+      if (busy > best) best = busy;
     }
   }
   return best;
@@ -306,23 +381,18 @@ void Fabric::publish_metrics(trace::MetricsRegistry& m,
   auto& util = m.stat("net.link_utilization");
   auto& busy = m.stat("net.link_busy_us");
   const double span_s = elapsed.to_seconds();
+  sim::RunningStat* per_link = chunks_corrupted() > 0
+                                  ? &m.stat("net.link_corrupted_chunks")
+                                  : nullptr;
   for (const Shard& sh : shards_) {
-    for (const auto& [key, link] : sh.links) {
-      (void)key;
+    for (const std::uint32_t i : link_order(sh)) {
+      const DirectedLink& link = sh.links[i];
       busy.add(link.tx.busy_time().to_us());
       if (span_s > 0.0) {
         util.add(link.tx.busy_time().to_seconds() / span_s);
       }
-    }
-  }
-  if (chunks_corrupted() > 0) {
-    auto& per_link = m.stat("net.link_corrupted_chunks");
-    for (const Shard& sh : shards_) {
-      for (const auto& [key, link] : sh.links) {
-        (void)key;
-        if (link.corrupted > 0) {
-          per_link.add(static_cast<double>(link.corrupted));
-        }
+      if (per_link != nullptr && link.corrupted > 0) {
+        per_link->add(static_cast<double>(link.corrupted));
       }
     }
   }

@@ -3,9 +3,11 @@
 //
 // A chunk carries its route as a value (topology.hpp's Route) plus the
 // index of the hop it is on, and asks the topology for that hop when it
-// gets there.  Directed links are created on first use and held in their
-// shard's map node; nothing else is allocated per chunk or per hop beyond
-// the event closures.
+// gets there.  Directed links are created on first use and kept by value in
+// their shard's link store.  A hop finds its link through a slot computed
+// arithmetically from the hop (Fabric::locate), never by a lookup, and the
+// continuation carries the next hop's slot, so each hop is computed once.
+// Nothing else is allocated per chunk or per hop beyond the event closures.
 //
 // Switches are modeled as output-queued crossbars: each directed link owns a
 // FIFO serialization resource (the output queue + transmitter), and each
@@ -34,8 +36,8 @@
 // functions of time, windows are race-free across partitions.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -195,6 +197,23 @@ class Fabric {
   /// samples one value per directed link; utilization = busy / elapsed).
   void publish_metrics(trace::MetricsRegistry& m, sim::Time elapsed) const;
 
+  /// Where a directed hop's link lives: the partition that owns its
+  /// transmitter, and the hop's slot in that partition's link table.
+  struct LinkSlot {
+    int part = 0;
+    std::uint32_t slot = 0;
+  };
+  /// The slot of `hop`, computed from the hop alone: an endpoint hop's from
+  /// its node, a switch hop's from the sending switch's (word, level) and
+  /// the port digit of the receiving switch's word.  Every directed hop of
+  /// a minimal route of this fabric gets its own slot below
+  /// link_slots(part).
+  [[nodiscard]] LinkSlot locate(const Hop& hop) const;
+  /// Size of partition `part`'s link table.
+  [[nodiscard]] std::size_t link_slots(int part) const {
+    return shards_[static_cast<std::size_t>(part)].slots.size();
+  }
+
  private:
   struct DirectedLink {
     DirectedLink(sim::Engine& e, std::string name, Hop h)
@@ -205,12 +224,30 @@ class Fabric {
     std::uint32_t corrupted = 0;
     std::uint32_t trace_id = 0;  ///< lazily registered trace component
   };
+  /// The switch-to-switch ports of one tree level in a shard's link table:
+  /// `words` switches from the shard's `first_word` on, each with `ports`
+  /// slots (its down ports, then its up ports from `up_port`), starting at
+  /// `base`.
+  struct LevelSlots {
+    std::uint32_t words = 0;
+    std::uint32_t ports = 0;
+    std::uint32_t up_port = 0;
+    std::uint32_t base = 0;
+  };
   /// One partition's links and counters, touched only by event code
   /// running in that partition.
   struct alignas(64) Shard {
-    // Ordered map: metrics/fault hooks traverse the links, and hash-order
-    // traversal would make that event emission nondeterministic.
-    std::map<std::uint64_t, DirectedLink> links;
+    /// Links by value in creation order; a deque, so they never move.
+    std::deque<DirectedLink> links;
+    /// Slot (locate()) -> 1 + index into `links`; 0 until the link is
+    /// first used.  Slots [0, 2 * nodes) are the endpoint links of the
+    /// shard's nodes from `first_node` on (node->switch, then switch->node);
+    /// `levels` lays out the switch ports after them.  Only the words a
+    /// minimal route can reach are covered, not the tree's capacity.
+    std::vector<std::uint32_t> slots;
+    std::vector<LevelSlots> levels;
+    int first_node = 0;
+    std::uint32_t first_word = 0;  ///< first switch word the shard owns
     std::uint64_t chunks = 0;
     std::uint64_t delivered = 0;
     std::uint64_t corrupted = 0;
@@ -235,15 +272,21 @@ class Fabric {
   }
   [[nodiscard]] std::uint64_t sum(std::uint64_t Shard::*field) const;
 
-  // Key layout: bit 63 set => endpoint link (node id in low bits, bit 62
-  // selects direction); otherwise (from_switch_id << 31) | to_switch_id.
-  [[nodiscard]] std::uint64_t key_of(const Hop& hop) const;
-  DirectedLink& link_for(int p, const Hop& hop);
+  /// Lay out every shard's slot table (constructor).
+  void size_link_tables();
+  // The order every link traversal follows, so that order-sensitive
+  // metrics (RunningStat) do not depend on creation order.  Bit 63 set =>
+  // endpoint link (node id in low bits, bit 62 selects direction);
+  // otherwise (from_switch_id << 31) | to_switch_id.
+  [[nodiscard]] std::uint64_t order_key(const Hop& hop) const;
+  /// Indices into `sh.links` in order_key() order.
+  [[nodiscard]] std::vector<std::uint32_t> link_order(const Shard& sh) const;
   [[nodiscard]] std::string link_name(const Hop& hop) const;
   /// Wire bytes of a chunk: payload plus per-MTU-packet headers.
   [[nodiscard]] std::uint64_t wire_bytes(std::uint32_t bytes) const;
 
-  void forward(Route route, int index, std::uint32_t bytes,
+  /// Send the chunk over hop `index` of `route`, whose link is at `at`.
+  void forward(Route route, int index, LinkSlot at, std::uint32_t bytes,
                DeliveryFn on_complete, sim::Time* first_tx_done);
   void finish(int p, DeliveryFn& on_complete, DeliveryStatus status,
               std::uint32_t bytes);

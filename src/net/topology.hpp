@@ -141,15 +141,19 @@ class FatTreeTopology {
   /// True when the two switches are joined by a cable of the tree.
   [[nodiscard]] bool adjacent(SwitchCoord a, SwitchCoord b) const;
 
-  /// Compact unique id for a switch (used as a map key).
+  /// Compact unique id for a switch (level-major, then word).
   [[nodiscard]] std::uint64_t switch_id(SwitchCoord c) const {
     return static_cast<std::uint64_t>(c.level) *
                static_cast<std::uint64_t>(switches_per_level_) +
            c.word;
   }
 
- private:
+  /// Base-k digit `pos` of `value`.  A switch-to-switch hop between levels
+  /// l and l+1 changes exactly digit l of the word, so that digit of the
+  /// receiving switch's word names the port the hop leaves by.
   [[nodiscard]] std::uint32_t digit(std::uint32_t value, int pos) const;
+
+ private:
   /// The switch of `r` at `level` on the side of endpoint `node`.
   [[nodiscard]] SwitchCoord on_route(const Route& r, int level,
                                      int node) const;

@@ -1,6 +1,7 @@
 #include "par/collective.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace icsim::par {
@@ -31,6 +32,17 @@ CollectiveWorld::CollectiveWorld(ParEngine& engine, net::Fabric& fabric,
 void CollectiveWorld::start(const CollectiveSpec& spec) {
   spec_ = spec;
   if (spec_.iterations < 1) spec_.iterations = 1;
+  if (spec_.iterations > kMaxIterations) {
+    throw std::invalid_argument(
+        "CollectiveWorld: at most " + std::to_string(kMaxIterations) +
+        " iterations (a message key is 32 bits)");
+  }
+  // Every message of a run has the same payload (barrier: an envelope),
+  // hence the same chunk count.
+  payload_ = spec_.op == Collective::allreduce && spec_.bytes > 0
+                 ? spec_.bytes
+                 : prm_.ctrl_bytes;
+  nchunks_ = (payload_ + prm_.chunk_bytes - 1) / prm_.chunk_bytes;
   const int n = ranks();
   pow2_ranks_ = n < 1 ? 1 : (1 << floor_log2(n));
   rounds_ = spec_.op == Collective::barrier ? ceil_log2(n < 1 ? 1 : n)
@@ -44,56 +56,57 @@ void CollectiveWorld::start(const CollectiveSpec& spec) {
   }
 }
 
-void CollectiveWorld::send(Rank& from, int to, int iter, int phase, int round,
-                           std::uint32_t bytes) {
+void CollectiveWorld::send(Rank& from, int to, int iter, int phase,
+                           int round) {
   ++from.sent;
-  const std::uint32_t payload = bytes > 0 ? bytes : prm_.ctrl_bytes;
-  const std::uint32_t nchunks =
-      (payload + prm_.chunk_bytes - 1) / prm_.chunk_bytes;
-  const std::uint64_t key = key_of(iter, phase, round);
+  const std::uint32_t key = key_of(iter, phase, round);
   const int src = from.id;
   // The send occupies the rank's CPU/NIC for send_overhead, then the
   // chunk(s) enter the fabric back to back (the link FIFO serializes them).
-  from.cpu.acquire(
-      prm_.send_overhead,
-      [this, src, to, key, payload, nchunks, phase]() {
-        std::uint32_t left = payload;
-        for (std::uint32_t c = 0; c < nchunks; ++c) {
-          const std::uint32_t sz =
-              left > prm_.chunk_bytes ? prm_.chunk_bytes : left;
-          left -= sz;
-          // Lost chunks are only counted: this tier has no retry, so a
-          // plan that partitions the fabric ends in a detected deadlock.
-          (void)fabric_.inject(
-              src, to, sz,
-              [this, to, key, nchunks, phase](net::DeliveryStatus st) {
-                if (st != net::DeliveryStatus::delivered) return;
-                on_chunk(to, key, nchunks, phase);
-              });
-        }
-      });
+  from.cpu.acquire(prm_.send_overhead, [this, src, to, key]() {
+    std::uint32_t left = payload_;
+    for (std::uint32_t c = 0; c < nchunks_; ++c) {
+      const std::uint32_t sz =
+          left > prm_.chunk_bytes ? prm_.chunk_bytes : left;
+      left -= sz;
+      // Lost chunks are only counted: this tier has no retry, so a plan
+      // that partitions the fabric ends in a detected deadlock.
+      auto done = [this, to, key](net::DeliveryStatus st) {
+        if (st != net::DeliveryStatus::delivered) return;
+        on_chunk(to, key);
+      };
+      // std::function (libstdc++) stores a callable inline, with no heap
+      // allocation, only when it is trivially copyable and fits 16 bytes.
+      static_assert(sizeof(done) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(done)>);
+      (void)fabric_.inject(src, to, sz, std::move(done));
+    }
+  });
 }
 
-void CollectiveWorld::on_chunk(int dst, std::uint64_t key,
-                               std::uint32_t nchunks, int phase) {
+void CollectiveWorld::on_chunk(int dst, std::uint32_t key) {
   // Runs in dst's partition (net::Fabric delivers there).
   Rank& r = rank(dst);
-  std::uint32_t& got = r.chunks_got[key];
-  ++got;
-  if (got < nchunks) return;
-  r.chunks_got.erase(key);
+  if (nchunks_ > 1) {
+    std::uint32_t& got = r.chunks_got[key];
+    ++got;
+    if (got < nchunks_) return;
+    r.chunks_got.erase(key);
+  }
   // Message complete: the receiver spends recv_overhead taking it off the
   // wire, plus the combining cost when this message carries a vector to
   // reduce (allreduce fold-in and doubling rounds; the fold-out result in
   // phase 2 is just copied).
   sim::Time cost = prm_.recv_overhead;
-  if (spec_.op == Collective::allreduce && phase != 2) cost += prm_.reduce_cost;
+  if (spec_.op == Collective::allreduce && phase_of(key) != 2) {
+    cost += prm_.reduce_cost;
+  }
   r.cpu.acquire(cost, [this, dst, key] {
     on_message(rank(dst), key);
   });
 }
 
-void CollectiveWorld::on_message(Rank& r, std::uint64_t key) {
+void CollectiveWorld::on_message(Rank& r, std::uint32_t key) {
   ++r.arrived[key];
   advance(r);
 }
@@ -111,11 +124,11 @@ void CollectiveWorld::begin_iteration(Rank& r) {
   const int n = ranks();
   if (spec_.op == Collective::barrier) {
     if (rounds_ > 0) {
-      send(r, (r.id + 1) % n, r.iter, 0, 0, 0);  // round 0 distance is 2^0
+      send(r, (r.id + 1) % n, r.iter, 0, 0);  // round 0 distance is 2^0
     }
   } else if (r.id >= pow2_ranks_) {
     // Remainder rank: fold the value in, then wait for the fold-out result.
-    send(r, r.id - pow2_ranks_, r.iter, 0, 0, spec_.bytes);
+    send(r, r.id - pow2_ranks_, r.iter, 0, 0);
     r.phase = 2;
   }
   advance(r);
@@ -144,7 +157,7 @@ void CollectiveWorld::advance(Rank& r) {
     while (r.round < rounds_ && take(r, 0, r.round)) {
       ++r.round;
       if (r.round < rounds_) {
-        send(r, (r.id + (1 << r.round)) % n, r.iter, 0, r.round, 0);
+        send(r, (r.id + (1 << r.round)) % n, r.iter, 0, r.round);
       }
     }
     if (r.round >= rounds_) finish_iteration(r);
@@ -160,7 +173,7 @@ void CollectiveWorld::advance(Rank& r) {
       r.phase = 1;
       r.round = 0;
       if (rounds_ > 0) {
-        send(r, r.id ^ 1, r.iter, 1, 0, spec_.bytes);  // round 0 partner
+        send(r, r.id ^ 1, r.iter, 1, 0);  // round 0 partner
       }
       continue;
     }
@@ -168,7 +181,7 @@ void CollectiveWorld::advance(Rank& r) {
       while (r.round < rounds_ && take(r, 1, r.round)) {
         ++r.round;
         if (r.round < rounds_) {
-          send(r, r.id ^ (1 << r.round), r.iter, 1, r.round, spec_.bytes);
+          send(r, r.id ^ (1 << r.round), r.iter, 1, r.round);
         }
       }
       if (r.round < rounds_) return;  // waiting on the current partner
@@ -177,7 +190,7 @@ void CollectiveWorld::advance(Rank& r) {
     }
     // Phase 2: fold the result out to the remainder ranks.
     if (r.id < pow2_ranks_) {
-      if (r.id < rem) send(r, r.id + pow2_ranks_, r.iter, 2, 0, spec_.bytes);
+      if (r.id < rem) send(r, r.id + pow2_ranks_, r.iter, 2, 0);
     } else if (!take(r, 2, 0)) {
       return;
     }

@@ -9,7 +9,7 @@
 // data advanced by delivery events, so a rank's state is only ever touched
 // by event code running in its own partition — no fibers, no shared
 // mutable state, nothing for a worker thread to race on.  Ranks are values
-// in one vector, each holding its CPU FIFO inline.
+// in fixed 64-rank blocks, each holding its CPU FIFO inline.
 //
 // Two operations, the ones the study's Figures scale with node count:
 //   * barrier   — dissemination: ceil(log2 n) rounds, round k sends to
@@ -53,7 +53,7 @@ enum class Collective { barrier, allreduce };
 struct CollectiveSpec {
   Collective op = Collective::barrier;
   std::uint32_t bytes = 8;  ///< allreduce payload per rank (barrier ignores)
-  int iterations = 1;       ///< back-to-back repetitions per rank
+  int iterations = 1;       ///< back-to-back repetitions per rank (<= 2^22)
 };
 
 /// Per-message cost model of one network's host/NIC stack (see the header
@@ -78,8 +78,12 @@ class CollectiveWorld {
                   const ParNetParams& params);
 
   /// Schedule every rank's first iteration at t = 0.  Call once, before
-  /// ParEngine::run().
+  /// ParEngine::run().  Throws std::invalid_argument when
+  /// spec.iterations exceeds kMaxIterations.
   void start(const CollectiveSpec& spec);
+
+  /// Most iterations a run can key (see key_of).
+  static constexpr int kMaxIterations = 1 << 22;
 
   // Post-run accessors (aggregate per-rank state; single-threaded only).
   [[nodiscard]] bool all_done() const;
@@ -110,23 +114,27 @@ class CollectiveWorld {
     /// Fully arrived messages by key, possibly ahead of this rank's
     /// progress (a fast peer's round k+1 message can land while we wait on
     /// round k); consumed as the state machine advances.
-    std::map<std::uint64_t, int> arrived;
-    /// Chunks received per in-flight multi-chunk message.
-    std::map<std::uint64_t, std::uint32_t> chunks_got;
+    std::map<std::uint32_t, int> arrived;
+    /// Chunks received per in-flight message (multi-chunk runs only).
+    std::map<std::uint32_t, std::uint32_t> chunks_got;
   };
 
   /// Unique key of the single message a rank expects at (iter, phase,
-  /// round) — each slot has exactly one sender in both algorithms.
-  [[nodiscard]] static std::uint64_t key_of(int iter, int phase, int round) {
-    return (static_cast<std::uint64_t>(iter) << 10) |
-           (static_cast<std::uint64_t>(phase) << 6) |
-           static_cast<std::uint64_t>(round);
+  /// round) — each slot has exactly one sender in both algorithms.  Round
+  /// is bits 0-5, phase bits 6-9 and iteration the 22 bits above.
+  [[nodiscard]] static std::uint32_t key_of(int iter, int phase, int round) {
+    return (static_cast<std::uint32_t>(iter) << 10) |
+           (static_cast<std::uint32_t>(phase) << 6) |
+           static_cast<std::uint32_t>(round);
+  }
+  [[nodiscard]] static int phase_of(std::uint32_t key) {
+    return static_cast<int>((key >> 6) & 0xF);
   }
 
-  void send(Rank& from, int to, int iter, int phase, int round,
-            std::uint32_t bytes);
-  void on_chunk(int dst, std::uint64_t key, std::uint32_t nchunks, int phase);
-  void on_message(Rank& r, std::uint64_t key);
+  /// Send the (iter, phase, round) message of `from` to rank `to`.
+  void send(Rank& from, int to, int iter, int phase, int round);
+  void on_chunk(int dst, std::uint32_t key);
+  void on_message(Rank& r, std::uint32_t key);
   /// Advance `r` as far as arrived messages allow; performs the sends each
   /// new state requires.
   void advance(Rank& r);
@@ -141,6 +149,8 @@ class CollectiveWorld {
   CollectiveSpec spec_;
   int rounds_ = 0;     ///< barrier: ceil(log2 n); allreduce: log2 of block
   int pow2_ranks_ = 1; ///< largest power of two <= n (allreduce block)
+  std::uint32_t payload_ = 0;  ///< bytes of every message of the run
+  std::uint32_t nchunks_ = 1;  ///< fabric chunks per message
   /// Ranks in blocks of kRankBlock, each reserved once in the constructor
   /// and never resized, so the Rank pointers that events capture stay
   /// valid.  Blocks, not one array: a 4096-rank world would otherwise ask

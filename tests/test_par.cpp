@@ -198,6 +198,43 @@ TEST(ParFaults, WholeRunLinkDownReroutesAndCompletes) {
   EXPECT_EQ(st.chunks_dropped_link_down, 0u);  // reroute found a clean climb
 }
 
+// Allreduce payloads above the fabric chunk size travel as several chunks,
+// which the receiver counts before taking the message.  The digests were
+// recorded when each chunk's completion carried its message's chunk count
+// and phase; they now follow from the run's spec and the message key.
+TEST(ParCollective, MultiChunkAllreduceKeepsItsDigest) {
+  ScopedCheck armed(true);
+  struct Pin {
+    core::Network net;
+    std::uint64_t digest;
+    std::uint64_t chunks;
+  };
+  for (const Pin& pin : {Pin{core::Network::infiniband, 0xf298907195881385ull, 320},
+                         Pin{core::Network::quadrics, 0xb03c6ddc500b3b15ull, 480}}) {
+    core::ClusterConfig cc = pin.net == core::Network::infiniband
+                                 ? core::ib_cluster(24)
+                                 : core::elan_cluster(24);
+    cc.env_overrides = false;
+    cc.intra_run_threads = 2;
+    par::ParCluster cluster(cc);
+    const par::ParRunStats st =
+        cluster.run(par::CollectiveSpec{par::Collective::allreduce, 5000, 2});
+    EXPECT_EQ(st.event_digest, pin.digest);
+    EXPECT_EQ(st.messages, 160u);  // 24 ranks: fold-in, 4 rounds, fold-out
+    EXPECT_EQ(st.fabric_chunks, pin.chunks);
+  }
+}
+
+TEST(ParCollective, RejectsMoreIterationsThanAMessageKeyHolds) {
+  core::ClusterConfig cc = core::elan_cluster(8);
+  cc.env_overrides = false;
+  par::ParCluster cluster(cc);
+  EXPECT_THROW(
+      (void)cluster.run(par::CollectiveSpec{
+          par::Collective::barrier, 8, par::CollectiveWorld::kMaxIterations + 1}),
+      std::invalid_argument);
+}
+
 TEST(ParCluster, RejectsUnsupportedFaultPlans) {
   core::ClusterConfig cc = core::elan_cluster(16);
   cc.env_overrides = false;
@@ -285,7 +322,9 @@ FabricRun run_many_to_one(int parts, const std::vector<net::LinkDownWindow>& win
   auto inject_all = [&](net::Fabric& fabric, auto engine_of) {
     for (std::size_t s = 0; s < senders.size(); ++s) {
       const int src = senders[s];
-      engine_of(src).post_at(stagger * static_cast<double>(s), [&, s, src] {
+      // engine_of by value: the event runs after inject_all has returned.
+      engine_of(src).post_at(stagger * static_cast<double>(s),
+                             [&, s, src, engine_of] {
         for (int c = 0; c < chunks; ++c) {
           sim::Time* slot = &out.delivered_at[s * chunks + c];
           sim::Engine* at_dst = &engine_of(dst);
